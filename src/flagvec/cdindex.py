@@ -4,15 +4,16 @@ g-recursion on face lattices.
 The ab-index collects the flag quantities k_S = sum_{T subset S} (-1)^{|S\\T|} f_T
 as coefficients of words in the noncommuting letters a, b (letter b at the
 positions in S).  For Eulerian flag data the polynomial rewrites uniquely in
-c = a + b and d = ab + ba; the rewrite is found by solving one exact linear
-system over all cd-words of the right degree, so inconsistency is detected
-rather than assumed away.  Coefficients may be rationals or flag forms; the
-same solver serves the numeric and the symbolic extraction.
+c = a + b and d = ab + ba.  The rewrite peels off the first letter: writing
+P = c*A + d*B, the parts after a leading a and b are A + b*B and A + a*B, so
+their difference fixes B, and A follows.  Every ab-word equation is checked
+on the way, so inconsistency is detected rather than assumed away.  Only +
+and - are used, so the same recursion serves rational and flag-form
+coefficients, that is, the numeric and the symbolic extraction.
 """
 
 import itertools
 import re
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -47,10 +48,6 @@ def cd_words(degree: int) -> tuple[str, ...]:
         words = [w + "c" for w in words] + [
             w[:-1] + "d" for w in words if w.endswith("c")]
     return tuple(sorted(words, key=_rev_key))
-
-
-def ab_words(degree: int) -> tuple[str, ...]:
-    return tuple("".join(w) for w in itertools.product("ab", repeat=degree))
 
 
 def word_for_set(S, degree: int) -> str:
@@ -186,7 +183,7 @@ def _parse_terms(text: str):
 
 
 # ----------------------------------------------------------------------
-# ring plumbing: coefficients are Fractions/ints or FlagForms
+# coefficients are Fractions/ints or FlagForms
 
 
 def _ring_zero(x) -> bool:
@@ -195,14 +192,12 @@ def _ring_zero(x) -> bool:
     return x == 0
 
 
-def _ring_sub(x, y):
-    return x - y
-
-
-def _ring_scale(x, q: Fraction):
-    if isinstance(x, FlagForm):
-        return x * q
-    return normalize(Fraction(x) * q)
+def _sub(p: dict, q: dict) -> dict:
+    """p - q on word -> coefficient dicts, dropping the zero coefficients."""
+    out = dict(p)
+    for w, c in q.items():
+        out[w] = out[w] - c if w in out else -c
+    return {w: c for w, c in out.items() if not _ring_zero(c)}
 
 
 # ----------------------------------------------------------------------
@@ -242,58 +237,34 @@ def symbolic_ab_index(d: int) -> AbPolynomial:
     return AbPolynomial(d, terms)
 
 
-def _expand_cd(word: str) -> dict[str, int]:
-    expansion = {"": 1}
-    for ch in word:
-        nxt: dict[str, int] = {}
-        pieces = ("a", "b") if ch == "c" else ("ab", "ba")
-        for w, c in expansion.items():
-            for piece in pieces:
-                nxt[w + piece] = nxt.get(w + piece, 0) + c
-        expansion = nxt
-    return expansion
+def _after(terms: dict, letter: str) -> dict:
+    """The words that start with the letter, with that letter removed."""
+    return {w[1:]: c for w, c in terms.items() if w[:1] == letter}
+
+
+def _peel(terms: dict, degree: int) -> dict:
+    """cd-coefficients of an ab-polynomial given as a word -> coefficient dict."""
+    if not terms or degree == 0:
+        return dict(terms)
+    # P = c*A + d*B gives P_a = A + b*B and P_b = A + a*B after the first letter
+    p_a = _after(terms, "a")
+    diff = _sub(p_a, _after(terms, "b"))
+    B = _after(diff, "b")
+    # the rest of P_a - P_b must be -a*B; at degree 1 nothing may be left
+    rest = {w: c for w, c in diff.items() if w[:1] != "b"}
+    if _sub(rest, {"a" + w: -c for w, c in B.items()}):
+        raise NotEulerian("flag data violates the Eulerian relations")
+    A = _sub(p_a, {"b" + w: c for w, c in B.items()})
+    out = {"c" + u: c for u, c in _peel(A, degree - 1).items()}
+    out.update(("d" + u, c) for u, c in _peel(B, degree - 2).items())
+    return out
 
 
 def ab_to_cd(p: AbPolynomial) -> CdPolynomial:
-    """Rewrite an ab-polynomial in c = a+b, d = ab+ba by exact elimination.
-
-    The cd-expansions give an integer system with one equation per ab-word;
-    a leftover inconsistent equation means the flag data was not Eulerian.
-    """
-    degree = p.degree
-    columns = cd_words(degree)
-    col_index = {u: j for j, u in enumerate(columns)}
-    rows = []
-    for w in ab_words(degree):
-        rows.append([Fraction(0)] * len(columns))
-    word_row = {w: i for i, w in enumerate(ab_words(degree))}
-    for j, u in enumerate(columns):
-        for w, c in _expand_cd(u).items():
-            rows[word_row[w]][j] += c
-    rhs = [p.coefficient(w) for w in ab_words(degree)]
-
-    pivot_of: dict[int, int] = {}
-    used: set[int] = set()
-    for j in range(len(columns)):
-        pivot = next((i for i in range(len(rows))
-                      if i not in used and rows[i][j] != 0), None)
-        if pivot is None:
-            raise NotEulerian("cd-expansions failed to span; degenerate system")
-        used.add(pivot)
-        pivot_of[j] = pivot
-        scale = rows[pivot][j]
-        rows[pivot] = [x / scale for x in rows[pivot]]
-        rhs[pivot] = _ring_scale(rhs[pivot], Fraction(1, 1) / scale)
-        for i in range(len(rows)):
-            if i != pivot and rows[i][j] != 0:
-                factor = rows[i][j]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[pivot])]
-                rhs[i] = _ring_sub(rhs[i], _ring_scale(rhs[pivot], factor))
-    for i in range(len(rows)):
-        if i not in used and not _ring_zero(rhs[i]):
-            raise NotEulerian("flag data violates the Eulerian relations")
-    terms = {u: rhs[pivot_of[j]] for j, u in enumerate(columns)}
-    return CdPolynomial(degree, terms)
+    """Rewrite an ab-polynomial in c = a+b, d = ab+ba by first-letter peeling;
+    raises NotEulerian when some ab-word equation fails."""
+    terms = _peel(p.terms, p.degree)
+    return CdPolynomial(p.degree, {u: normalize(c) for u, c in terms.items()})
 
 
 def _as_flag_vector(source) -> FlagVector:

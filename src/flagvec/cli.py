@@ -148,8 +148,7 @@ def cmd_cdindex(args) -> int:
     L = _build_family(args.family, args.d, args.n, args.cache_dir)
     v = L.flag_vector()
     if args.coeff:
-        form = cdx.cd_word_to_flag_form(_normalize_word(args.coeff, L.d), L.d)
-        value = form.evaluate(v)
+        value = cdx.cd_coefficient(v, _normalize_word(args.coeff))
         _emit_json({"d": L.d, "word": args.coeff, "value": rat_to_str(value)}, args)
         return 0
     poly = cdx.cd_index(v)
@@ -163,7 +162,7 @@ def cmd_cdindex(args) -> int:
     return 0
 
 
-def _normalize_word(text: str, d: int) -> str:
+def _normalize_word(text: str) -> str:
     word = cdx._expand_pretty(text)
     _need(bool(word), f"empty cd-word {text!r}")
     return word
@@ -280,20 +279,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact flag-vector combinatorics of convex polytopes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_format="json"):
+    def common(p, default_format="json", builds_lattices=False):
         p.add_argument("--format", choices=("json", "csv"), default=default_format)
         p.add_argument("--no-meta", action="store_true",
                        help="omit tool metadata from JSON output")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized feasibility sampling")
-        p.add_argument("--cache-dir", default=None,
-                       help="directory for lattice JSON caching")
+        if builds_lattices:
+            p.add_argument("--cache-dir", default=None,
+                           help="directory for lattice JSON caching")
 
     p = sub.add_parser("generate", help="f-vector of a family member")
     p.add_argument("family", choices=FAMILIES)
     p.add_argument("-d", type=int, default=None)
     p.add_argument("-n", type=int, default=None)
-    common(p)
+    common(p, builds_lattices=True)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("check", help="property verdicts for an f-vector")
@@ -306,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=FAMILIES[:-1])
     p.add_argument("-d", type=int, default=None)
     p.add_argument("-n", type=int, default=None)
-    common(p)
+    common(p, builds_lattices=True)
     p.set_defaults(fn=cmd_flags)
 
     p = sub.add_parser("cdindex", help="cd-index of a family member")
@@ -315,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, default=None)
     p.add_argument("--coeff", default=None,
                    help="extract one coefficient, e.g. c2dc2")
-    common(p)
+    common(p, builds_lattices=True)
     p.set_defaults(fn=cmd_cdindex)
 
     p = sub.add_parser("convolve", help="convolution of two flag forms")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import IncompleteBasis, InvalidParams, MissingEntry
-from .rational import normalize, rat_from_str, rat_to_str
+from .rational import normalize, rat_from_json, rat_to_str
 
 # ----------------------------------------------------------------------
 # value containers
@@ -118,11 +118,8 @@ class FlagVector:
     @classmethod
     def from_json(cls, text: str) -> "FlagVector":
         doc = json.loads(text)
-        entries = {}
-        for key, value in doc["entries"].items():
-            if isinstance(value, str):
-                value = rat_from_str(value)
-            entries[parse_subset_key(key)] = value
+        entries = {parse_subset_key(key): rat_from_json(value, key)
+                   for key, value in doc["entries"].items()}
         return cls(doc["d"], entries)
 
     def __eq__(self, other):
@@ -283,9 +280,6 @@ def parse_sparse_json(text: str) -> tuple[dict[tuple[int, ...], object], int]:
     """Read sparse flag data {d, entries: {"": 1, "02": ...}}."""
     doc = json.loads(text)
     d = doc["d"]
-    values = {}
-    for key, value in doc["entries"].items():
-        if isinstance(value, str):
-            value = rat_from_str(value)
-        values[parse_subset_key(key)] = value
+    values = {parse_subset_key(key): rat_from_json(value, key)
+              for key, value in doc["entries"].items()}
     return values, d

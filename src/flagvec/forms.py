@@ -24,7 +24,7 @@ from .flagalg import (
     subset_key,
 )
 from .families import PropertyReport, properties
-from .rational import normalize, rat_from_str, rat_to_str
+from .rational import normalize, rat_from_json, rat_to_str
 
 
 class FlagForm:
@@ -120,11 +120,8 @@ class FlagForm:
     @classmethod
     def from_json(cls, text: str) -> "FlagForm":
         doc = json.loads(text)
-        coeffs = {}
-        for key, value in doc["coeffs"].items():
-            if isinstance(value, str):
-                value = rat_from_str(value)
-            coeffs[parse_subset_key(key)] = value
+        coeffs = {parse_subset_key(key): rat_from_json(value, key)
+                  for key, value in doc["coeffs"].items()}
         return cls(doc["d"], coeffs)
 
 
@@ -224,57 +221,46 @@ class InequalityBattery:
         return [name for name, val in self.evaluate_all(v).items() if val < 0]
 
 
+def _dual_member(member: BatteryMember, source: str = "") -> BatteryMember:
+    """The index reversal of a battery member, named after it."""
+    return BatteryMember(member.name + "-dual", dual_form(member.form),
+                         source or f"index reversal of {member.name}")
+
+
 def battery(d: int) -> InequalityBattery:
     """The closed list of linear inequalities used at d = 5, 6, 7."""
     if d == 5:
-        kalai = kalai_5d_form()
-        members = [
-            BatteryMember("edge-vertex-bound",
-                          flag_form(5, {(1,): 2, (0,): -5}),
-                          "every vertex of a 5-polytope meets at least 5 edges"),
-            BatteryMember("edge-vertex-bound-dual",
-                          flag_form(5, {(3,): 2, (4,): -5}),
-                          "dual form: every facet has at least 5 ridges"),
-            BatteryMember("g1-convolution",
-                          kalai,
-                          "sum of the three nonnegative g1 convolution"
-                          " splittings of dimension 5"),
-            BatteryMember("g1-convolution-dual",
-                          dual_form(kalai),
-                          "index reversal of g1-convolution"),
-        ]
+        edge = BatteryMember("edge-vertex-bound",
+                             flag_form(5, {(1,): 2, (0,): -5}),
+                             "every vertex of a 5-polytope meets at least 5 edges")
+        g1 = BatteryMember("g1-convolution",
+                           kalai_5d_form(),
+                           "sum of the three nonnegative g1 convolution"
+                           " splittings of dimension 5")
+        members = [edge, _dual_member(edge, "dual form: every facet has at least 5 ridges"),
+                   g1, _dual_member(g1)]
     elif d == 6:
-        members = [
-            BatteryMember("edge-vertex-bound",
-                          flag_form(6, {(1,): 1, (0,): -3}),
-                          "every vertex of a 6-polytope meets at least 6 edges"),
-            BatteryMember("cd-c2dc2-bound",
-                          flag_form(6, {(0,): 1, (1,): -1, (2,): 1, (): -21}),
-                          "nonnegativity of the cd-index coefficient"
-                          " <c^2dc^2 - 19c^6>"),
-            BatteryMember("edge-vertex-bound-dual",
-                          flag_form(6, {(4,): 1, (5,): -3}),
-                          "dual form: every facet has at least 6 ridges"),
-            BatteryMember("cd-c2dc2-bound-dual",
-                          flag_form(6, {(5,): 1, (4,): -1, (3,): 1, (): -21}),
-                          "index reversal of cd-c2dc2-bound"),
-        ]
+        edge = BatteryMember("edge-vertex-bound",
+                             flag_form(6, {(1,): 1, (0,): -3}),
+                             "every vertex of a 6-polytope meets at least 6 edges")
+        cd = BatteryMember("cd-c2dc2-bound",
+                           flag_form(6, {(0,): 1, (1,): -1, (2,): 1, (): -21}),
+                           "nonnegativity of the cd-index coefficient"
+                           " <c^2dc^2 - 19c^6>")
+        members = [edge, cd,
+                   _dual_member(edge, "dual form: every facet has at least 6 ridges"),
+                   _dual_member(cd)]
     elif d == 7:
-        members = [
-            BatteryMember("edge-vertex-bound",
-                          flag_form(7, {(1,): 2, (0,): -7}),
-                          "every vertex of a 7-polytope meets at least 7 edges"),
-            BatteryMember("cd-c2dc3-bound",
-                          flag_form(7, {(0,): 1, (1,): -1, (2,): 1, (): -36}),
-                          "nonnegativity of the cd-index coefficient"
-                          " <c^2dc^3 - 34c^7>"),
-            BatteryMember("edge-vertex-bound-dual",
-                          flag_form(7, {(5,): 2, (6,): -7}),
-                          "dual form: every facet has at least 7 ridges"),
-            BatteryMember("cd-c2dc3-bound-dual",
-                          flag_form(7, {(6,): 1, (5,): -1, (4,): 1, (): -36}),
-                          "index reversal of cd-c2dc3-bound"),
-        ]
+        edge = BatteryMember("edge-vertex-bound",
+                             flag_form(7, {(1,): 2, (0,): -7}),
+                             "every vertex of a 7-polytope meets at least 7 edges")
+        cd = BatteryMember("cd-c2dc3-bound",
+                           flag_form(7, {(0,): 1, (1,): -1, (2,): 1, (): -36}),
+                           "nonnegativity of the cd-index coefficient"
+                           " <c^2dc^3 - 34c^7>")
+        members = [edge, cd,
+                   _dual_member(edge, "dual form: every facet has at least 7 ridges"),
+                   _dual_member(cd)]
     else:
         raise UnsupportedDimension(f"no inequality battery for d={d}")
     return InequalityBattery(d, members)

@@ -92,6 +92,11 @@ class FaceLattice:
         for r, level in enumerate(self._ranks):
             for f in level:
                 self._rank_of[f] = r - 1
+        if len(self._rank_of) != total:
+            twice = next(f for r, level in enumerate(self._ranks) for f in level
+                         if self._rank_of[f] != r - 1)
+            raise InvalidParams(
+                f"vertex set {sorted(twice)} appears at two ranks")
         # lazily filled caches
         self._below: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         self._flags: FlagVector | None = None

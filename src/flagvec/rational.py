@@ -4,7 +4,10 @@ Everything user-facing is printed as a decimal-digit string or "p/q";
 floats never enter the data path.
 """
 
+import json
 from fractions import Fraction
+
+from .errors import InvalidParams
 
 
 def normalize(x):
@@ -25,8 +28,25 @@ def rat_from_str(s):
     s = s.strip()
     if "/" in s:
         num, den = s.split("/", 1)
+        if int(den) == 0:
+            raise InvalidParams(f"zero denominator in {s!r}")
         return normalize(Fraction(int(num), int(den)))
     return int(s)
+
+
+def rat_from_json(value, key: str):
+    """An exact number from a JSON value: an integer, or a string "n" or
+    "p/q".  Floats and booleans are refused; ``key`` names the entry."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return rat_from_str(value)
+        except (InvalidParams, ValueError) as exc:
+            raise InvalidParams(f"entry {key!r}: {exc}") from None
+    raise InvalidParams(
+        f"entry {key!r}: {json.dumps(value)} is not an exact number;"
+        ' give an integer or a string such as "1/3"')
 
 
 def approx_str(x, digits: int = 12) -> str:

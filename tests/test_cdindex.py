@@ -24,7 +24,29 @@ from flagvec import (
     toric_g,
     toric_h,
 )
-from flagvec.cdindex import ab_words, cd_degree
+from flagvec.cdindex import _symbolic_cd_index, cd_degree, symbolic_ab_index
+
+
+def _expand_cd(word: str) -> dict[str, int]:
+    """ab-expansion of a cd-word with c = a + b and d = ab + ba."""
+    expansion = {"": 1}
+    for ch in word:
+        nxt: dict[str, int] = {}
+        pieces = ("a", "b") if ch == "c" else ("ab", "ba")
+        for w, c in expansion.items():
+            for piece in pieces:
+                nxt[w + piece] = nxt.get(w + piece, 0) + c
+        expansion = nxt
+    return expansion
+
+
+def _expand(poly: CdPolynomial) -> dict:
+    """The ab-coefficients of a cd-polynomial."""
+    out: dict = {}
+    for u, coeff in poly.terms.items():
+        for w, c in _expand_cd(u).items():
+            out[w] = out[w] + c * coeff if w in out else c * coeff
+    return out
 
 
 def test_cd_word_counts_are_fibonacci():
@@ -75,6 +97,33 @@ def test_non_eulerian_data_is_rejected():
     entries[(1,)] = 7
     with pytest.raises(NotEulerian):
         ab_to_cd(ab_index(FlagVector(3, entries)))
+
+
+def test_cd_index_expands_back_to_the_ab_index(small_corpus):
+    for L in small_corpus + [build_simplex(8), build_cube(6), build_crosspolytope(6)]:
+        want = ab_index(L.flag_vector()).terms
+        got = {w: c for w, c in _expand(cd_index(L)).items() if c != 0}
+        assert got == want, L
+
+
+def test_symbolic_cd_index_expands_back_to_the_ab_index():
+    for d in range(0, 9):
+        want = symbolic_ab_index(d).terms
+        got = {w: form.reduced() for w, form in _expand(_symbolic_cd_index(d)).items()}
+        assert {w: f for w, f in got.items() if not f.is_zero()} \
+            == {w: f.reduced() for w, f in want.items()}, d
+
+
+def test_any_single_entry_change_is_not_eulerian():
+    for L in (build_simplex(3), build_simplex(4), build_cube(4)):
+        v = L.flag_vector()
+        for S in v.entries:
+            if not S:
+                continue
+            entries = dict(v.entries)
+            entries[S] += 1
+            with pytest.raises(NotEulerian):
+                cd_index(FlagVector(L.d, entries))
 
 
 def test_ab_index_needs_complete_data():
@@ -173,7 +222,6 @@ def test_random_cd_polynomials_round_trip(data):
     assert CdPolynomial.from_str(poly.canonical_str()) == poly
 
 
-def test_ab_words_and_degrees():
-    assert ab_words(2) == ("aa", "ab", "ba", "bb")
+def test_cd_degrees():
     assert cd_degree("ccdcc") == 6
     assert cd_degree("dd") == 4

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from flagvec.cli import main
 
 
@@ -106,6 +108,22 @@ def test_convolve_command(capsys):
     # feeding the result back in is accepted
     code, out2, _ = run(capsys, "convolve", json.dumps(doc), "g0@0", "--no-meta")
     assert json.loads(out2) == {"d": 5, "coeffs": {"14": "-3", "124": "1"}}
+
+
+@pytest.mark.parametrize("value", ['"1/0"', "0.1", "true"])
+def test_convolve_refuses_inexact_coefficients(capsys, value):
+    form = '{"d":1,"coeffs":{"0":%s}}' % value
+    code, out, err = run(capsys, "convolve", form, "g0@0")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_options_a_command_would_ignore_are_refused():
+    for argv in (["check", "8,28,52,50,20", "--seed", "1"],
+                 ["convolve", "g0@1", "g1@2", "--cache-dir", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_candidates_command(capsys):

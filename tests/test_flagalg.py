@@ -159,6 +159,15 @@ def test_sparse_json_parsing():
     assert d == 3 and values[(0,)] == 4 and values[(1,)] == 6
 
 
+def test_json_numbers_must_be_exact():
+    for value in (0.5, True, "1/0"):
+        doc = json.dumps({"d": 3, "entries": {"": 1, "0": value}})
+        with pytest.raises(InvalidParams, match="'0'"):
+            parse_sparse_json(doc)
+        with pytest.raises(InvalidParams, match="'0'"):
+            FlagVector.from_json(doc)
+
+
 def test_flag_vector_json_round_trip(c58):
     v = c58.flag_vector()
     again = FlagVector.from_json(v.to_json())

@@ -57,6 +57,13 @@ def test_cyclic_needs_enough_vertices():
         build_cyclic(1, 5)
 
 
+def test_a_vertex_set_at_two_ranks_is_refused():
+    faces = [(-1, []), (0, [0]), (0, [1]), (0, [2]),
+             (1, [0, 1]), (1, [1, 2]), (1, [0, 2]), (1, [0]), (2, [0, 1, 2])]
+    with pytest.raises(InvalidParams, match=r"\[0\]"):
+        FaceLattice(2, faces)
+
+
 def test_cube_crosspolytope_polygon():
     assert tuple(build_cube(3).f_vector()) == (8, 12, 6)
     assert tuple(build_crosspolytope(4).f_vector()) == (8, 24, 32, 16)
