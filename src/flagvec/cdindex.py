@@ -379,11 +379,7 @@ def _face_h(lattice, rank: int, idx: int) -> tuple[int, ...]:
     _poly_add_scaled(acc, (1,), list(_x_minus_one_pow(rank)))  # empty face
     for a in range(0, rank):
         shift = list(_x_minus_one_pow(rank - 1 - a))
-        if rank == lattice.d:
-            members = range(len(lattice.faces(a)))
-        else:
-            members = lattice._faces_below(a, rank)[idx]
-        for i in members:
+        for i in lattice._faces_below(a, rank)[idx]:
             _poly_add_scaled(acc, _face_g(lattice, a, i), shift)
     return tuple(acc)
 

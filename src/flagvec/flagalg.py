@@ -69,6 +69,24 @@ def parse_subset_key(key: str) -> tuple[int, ...]:
     return S
 
 
+def read_flag_json(text: str, body: str) -> tuple[int, dict]:
+    """The dimension and the exact entries of ``{"d": D, body: {...}}``.
+
+    D must be a JSON integer and the body an object from index-set keys to
+    exact numbers; anything else raises InvalidParams.
+    """
+    doc = json.loads(text)
+    d = doc.get("d") if isinstance(doc, dict) else None
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise InvalidParams(f'"d" must be an integer, got {json.dumps(d)}')
+    entries = doc.get(body)
+    if not isinstance(entries, dict):
+        raise InvalidParams(
+            f'"{body}" must be an object, got {json.dumps(entries)}')
+    return d, {parse_subset_key(key): rat_from_json(value, key)
+               for key, value in entries.items()}
+
+
 class FlagVector:
     """Mapping from index sets S in {0,...,d-1} to the chain counts f_S.
 
@@ -117,10 +135,7 @@ class FlagVector:
 
     @classmethod
     def from_json(cls, text: str) -> "FlagVector":
-        doc = json.loads(text)
-        entries = {parse_subset_key(key): rat_from_json(value, key)
-                   for key, value in doc["entries"].items()}
-        return cls(doc["d"], entries)
+        return cls(*read_flag_json(text, "entries"))
 
     def __eq__(self, other):
         if not isinstance(other, FlagVector):
@@ -278,8 +293,5 @@ def euler_check(f) -> bool:
 
 def parse_sparse_json(text: str) -> tuple[dict[tuple[int, ...], object], int]:
     """Read sparse flag data {d, entries: {"": 1, "02": ...}}."""
-    doc = json.loads(text)
-    d = doc["d"]
-    values = {parse_subset_key(key): rat_from_json(value, key)
-              for key, value in doc["entries"].items()}
+    d, values = read_flag_json(text, "entries")
     return values, d

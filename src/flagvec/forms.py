@@ -18,13 +18,13 @@ from .flagalg import (
     complete_from_sparse,
     euler_check,
     gds_residuals,
-    parse_subset_key,
+    read_flag_json,
     reduce_index,
     sparse_basis,
     subset_key,
 )
 from .families import PropertyReport, properties
-from .rational import normalize, rat_from_json, rat_to_str
+from .rational import normalize, rat_to_str
 
 
 class FlagForm:
@@ -119,10 +119,7 @@ class FlagForm:
 
     @classmethod
     def from_json(cls, text: str) -> "FlagForm":
-        doc = json.loads(text)
-        coeffs = {parse_subset_key(key): rat_from_json(value, key)
-                  for key, value in doc["coeffs"].items()}
-        return cls(doc["d"], coeffs)
+        return cls(*read_flag_json(text, "coeffs"))
 
 
 def flag_form(d: int, coeffs: dict) -> FlagForm:

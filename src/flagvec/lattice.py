@@ -3,8 +3,10 @@
 Faces are stored as vertex-index sets with an explicit rank (rank = dimension,
 so vertices have rank 0, the empty face rank -1, the whole polytope rank d);
 the order relation is set inclusion.  Flag vectors, duals, quotients and the
-Eulerian test are all computed from these lattices by brute-force enumeration,
-which makes this module the ground truth every closed form is tested against.
+Eulerian test are all read from one exact inclusion incidence, which tests a
+face only against the faces of another rank that hold its lowest vertex; this
+enumeration makes the module the ground truth every closed form is tested
+against.
 
 All counts are Python ints, so nothing overflows; lattices are immutable after
 construction and the internal caches are only ever filled, never invalidated,
@@ -88,19 +90,41 @@ class FaceLattice:
             tuple(sorted(level, key=sorted)) for level in by_rank]
         self._masks: list[tuple[int, ...]] = [
             tuple(_mask(f) for f in level) for level in self._ranks]
-        self._rank_of: dict[frozenset[int], int] = {}
-        for r, level in enumerate(self._ranks):
-            for f in level:
-                self._rank_of[f] = r - 1
-        if len(self._rank_of) != total:
-            twice = next(f for r, level in enumerate(self._ranks) for f in level
-                         if self._rank_of[f] != r - 1)
-            raise InvalidParams(
-                f"vertex set {sorted(twice)} appears at two ranks")
+        self._index: dict[int, tuple[int, int]] = {}  # mask -> (rank, index)
+        # per rank, each vertex -> indices of the faces of that rank holding it
+        self._containing: list[dict[int, list[int]]] = [{} for _ in by_rank]
+        for r, (level, masks) in enumerate(zip(self._ranks, self._masks)):
+            for i, (f, m) in enumerate(zip(level, masks)):
+                if self._index.setdefault(m, (r - 1, i)) != (r - 1, i):
+                    raise InvalidParams(f"vertex set {sorted(f)} appears at two ranks")
+                for v in f:
+                    self._containing[r].setdefault(v, []).append(i)
         # lazily filled caches
         self._below: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         self._flags: FlagVector | None = None
         self._toric_g_memo: dict[tuple[int, int], tuple] = {}
+        self._check_strict_inclusions()
+
+    def _check_strict_inclusions(self):
+        """Refuse a face strictly inside a face of equal or lower rank.
+
+        Such a pair needs a rank-b face with more vertices than a rank-a face
+        for some b <= a, so lattices whose face size grows with the rank
+        (every builder here) skip the incidence sweep altogether.
+        """
+        largest = [max(map(len, level), default=0) for level in self._ranks]
+        smallest = [min(map(len, level), default=0) for level in self._ranks]
+        for a in range(self.d + 1):
+            for b in range(a + 1):
+                if largest[b + 1] <= smallest[a + 1]:
+                    continue
+                for j, inside in enumerate(self._faces_below(a, b)):
+                    for i in inside:
+                        if a != b or i != j:
+                            raise InvalidParams(
+                                f"face {sorted(self._ranks[a + 1][i])} of rank"
+                                f" {a} lies strictly inside face"
+                                f" {sorted(self._ranks[b + 1][j])} of rank {b}")
 
     # ------------------------------------------------------------------
     # basic queries
@@ -124,11 +148,14 @@ class FaceLattice:
     def top(self) -> frozenset[int]:
         return self._ranks[self.d + 1][0]
 
-    def rank(self, face) -> int:
+    def _locate(self, face) -> tuple[int, int]:
         try:
-            return self._rank_of[frozenset(face)]
-        except KeyError:
+            return self._index[_mask(face)]
+        except (KeyError, ValueError):
             raise FaceNotInLattice(f"{sorted(face)} is not a face") from None
+
+    def rank(self, face) -> int:
+        return self._locate(face)[0]
 
     def f_vector(self) -> FVector:
         return FVector(tuple(len(self._ranks[r + 1]) for r in range(self.d)))
@@ -149,16 +176,23 @@ class FaceLattice:
     # chain enumeration
 
     def _faces_below(self, a: int, b: int) -> tuple[tuple[int, ...], ...]:
-        """For each rank-b face, the indices of the rank-a faces under it."""
+        """For each rank-b face, the indices of the rank-a faces under it.
+
+        The lattice's one inclusion test: a rank-a face is tried only against
+        the rank-b faces that hold its lowest vertex."""
         key = (a, b)
         cached = self._below.get(key)
         if cached is not None:
             return cached
-        amasks = self._masks[a + 1]
-        out = tuple(
-            tuple(i for i, ma in enumerate(amasks) if ma & ~mb == 0)
-            for mb in self._masks[b + 1])
-        self._below[key] = out
+        bmasks = self._masks[b + 1]
+        containing = self._containing[b + 1]
+        inside: list[list[int]] = [[] for _ in bmasks]
+        for i, m in enumerate(self._masks[a + 1]):
+            lowest = (m & -m).bit_length() - 1
+            for j in containing.get(lowest, ()) if m else range(len(bmasks)):
+                if m & ~bmasks[j] == 0:
+                    inside[j].append(i)
+        out = self._below[key] = tuple(map(tuple, inside))
         return out
 
     def flag_number(self, S) -> int:
@@ -210,24 +244,20 @@ class FaceLattice:
         Its vertices are the faces covering ``lower`` inside the interval;
         dimension is rank(upper) - rank(lower) - 1.
         """
-        lower = frozenset(lower)
-        upper = frozenset(upper)
-        rl, ru = self.rank(lower), self.rank(upper)
-        if not (lower <= upper and rl < ru):
+        rl, il = self._locate(lower)
+        ru, iu = self._locate(upper)
+        if not (rl < ru and il in self._faces_below(rl, ru)[iu]):
             raise InvalidParams("interval requires lower < upper")
-        lm, um = _mask(lower), _mask(upper)
-        members: list[tuple[int, int]] = []  # (rank, mask)
-        for r in range(rl, ru + 1):
-            for m in self._masks[r + 1]:
-                if lm & ~m == 0 and m & ~um == 0:
-                    members.append((r, m))
-        atoms = sorted(m for r, m in members if r == rl + 1)
-        faces = []
-        for r, m in members:
-            # a member contains atom i iff the atom's mask is a submask
-            verts = [] if r == rl else [
-                i for i, am in enumerate(atoms) if am & ~m == 0]
-            faces.append((r - rl - 1, verts))
+        members = [(r, j) for r in range(rl, ru + 1)
+                   for j in self._faces_below(r, ru)[iu]
+                   if il in self._faces_below(rl, r)[j]]
+        # the interval's vertices are its atoms, numbered in mask order
+        atoms = sorted((j for r, j in members if r == rl + 1),
+                       key=self._masks[rl + 2].__getitem__)
+        vertex_of = {j: k for k, j in enumerate(atoms)}
+        faces = [(r - rl - 1,
+                  [vertex_of[i] for i in self._faces_below(rl + 1, r)[j]
+                   if i in vertex_of]) for r, j in members]
         return FaceLattice(ru - rl - 1, faces)
 
     def quotient(self, face) -> "FaceLattice":
@@ -246,14 +276,13 @@ class FaceLattice:
 
     def dual(self) -> "FaceLattice":
         """Order-reversed lattice; vertices of the dual are the facets."""
-        if self.d == 0:
-            return FaceLattice(0, list(self.all_faces()))
-        facet_masks = self._masks[self.d]
         faces = []
         for r in range(-1, self.d + 1):
-            for m in self._masks[r + 1]:
-                over = [i for i, fm in enumerate(facet_masks) if m & ~fm == 0]
-                faces.append((self.d - 1 - r, over))
+            over: list[list[int]] = [[] for _ in self._masks[r + 1]]
+            for j, inside in enumerate(self._faces_below(r, self.d - 1)):
+                for i in inside:
+                    over[i].append(j)
+            faces += [(self.d - 1 - r, facets) for facets in over]
         return FaceLattice(self.d, faces)
 
     # ------------------------------------------------------------------
@@ -266,26 +295,19 @@ class FaceLattice:
         the relative parity shift inside an interval is constant, which lets
         global rank parity stand in for interval-local parity.
         """
-        flat_masks: list[int] = []
-        flat_rank: list[int] = []
-        for r in range(-1, self.d + 1):
-            for m in self._masks[r + 1]:
-                flat_masks.append(m)
-                flat_rank.append(r)
-        n = len(flat_masks)
-        up = [0] * n
-        down = [0] * n
-        for i in range(n):
-            mi = flat_masks[i]
-            for j in range(n):
-                if i != j and mi & ~flat_masks[j] == 0:
-                    up[i] |= 1 << j
-                    down[j] |= 1 << i
-        even = 0
-        for j in range(n):
-            if flat_rank[j] % 2 == 0:
-                even |= 1 << j
-        full = (1 << n) - 1
+        start = [0, *itertools.accumulate(map(len, self._masks))]
+        n = start[-1]
+        up, down = [0] * n, [0] * n  # bitsets over the faces in rank order
+        for a in range(-1, self.d + 1):
+            for b in range(a + 1, self.d + 1):
+                for j, inside in enumerate(self._faces_below(a, b)):
+                    gj = start[b + 1] + j
+                    for i in inside:
+                        up[start[a + 1] + i] |= 1 << gj
+                        down[gj] |= 1 << (start[a + 1] + i)
+        flat_rank = [r for r in range(-1, self.d + 1)
+                     for _ in self._masks[r + 1]]
+        even = sum(1 << j for j, r in enumerate(flat_rank) if r % 2 == 0)
         for i in range(n):
             m = up[i]
             while m:
@@ -295,9 +317,7 @@ class FaceLattice:
                 if flat_rank[j] - flat_rank[i] < 2:
                     continue
                 inner = (up[i] & down[j]) | (1 << i) | (1 << j)
-                n_even = (inner & even).bit_count()
-                n_odd = (inner & (full & ~even)).bit_count()
-                if n_even != n_odd:
+                if 2 * (inner & even).bit_count() != inner.bit_count():
                     return False
         return True
 

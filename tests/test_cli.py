@@ -118,6 +118,15 @@ def test_convolve_refuses_inexact_coefficients(capsys, value):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("form", ['{"d":true,"coeffs":{"0":1}}',
+                                  '{"d":1.5,"coeffs":{}}',
+                                  '{"d":1,"coeffs":[1]}'])
+def test_convolve_refuses_a_malformed_form(capsys, form):
+    code, out, err = run(capsys, "convolve", form, "g0@0")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_options_a_command_would_ignore_are_refused():
     for argv in (["check", "8,28,52,50,20", "--seed", "1"],
                  ["convolve", "g0@1", "g1@2", "--cache-dir", "x"]):

@@ -168,6 +168,15 @@ def test_json_numbers_must_be_exact():
             FlagVector.from_json(doc)
 
 
+def test_json_header_must_be_exact():
+    for doc in ({"d": True, "entries": {"": 1}}, {"d": 2.5, "entries": {"": 1}},
+                {"d": 3, "entries": [1]}, {"entries": {"": 1}}, [3]):
+        with pytest.raises(InvalidParams):
+            parse_sparse_json(json.dumps(doc))
+        with pytest.raises(InvalidParams):
+            FlagVector.from_json(json.dumps(doc))
+
+
 def test_flag_vector_json_round_trip(c58):
     v = c58.flag_vector()
     again = FlagVector.from_json(v.to_json())

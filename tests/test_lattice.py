@@ -1,4 +1,5 @@
 import json
+import re
 from math import comb
 
 import pytest
@@ -16,7 +17,51 @@ from flagvec import (
     dual,
     quotient,
 )
-from flagvec.lattice import MAX_FACES_ENV
+from flagvec.lattice import MAX_FACES_ENV, _mask
+
+# the triangle whose top face also holds a vertex 3 that lies in no edge
+NON_GRADED = [(-1, []), (0, [0]), (0, [1]), (0, [2]), (0, [3]),
+              (1, [0, 1]), (1, [1, 2]), (1, [0, 2]), (2, [0, 1, 2, 3])]
+
+
+def _masks(L):
+    return {r: [_mask(f) for f in L.faces(r)] for r in range(-1, L.d + 1)}
+
+
+def _faces_below_oracle(masks, a, b):
+    """Test oracle: for each rank-b face, the rank-a faces inside it, by
+    testing every pair of faces of the two ranks."""
+    return tuple(tuple(i for i, ma in enumerate(masks[a]) if ma & ~mb == 0)
+                 for mb in masks[b])
+
+
+def _dual_faces_oracle(L, masks):
+    """Test oracle: each face of the dual is the set of facets over a face."""
+    return [(L.d - 1 - r, [j for j, g in enumerate(masks[L.d - 1]) if m & ~g == 0])
+            for r in masks for m in masks[r]]
+
+
+def _is_eulerian_oracle(masks):
+    """Test oracle: every interval of rank >= 2 balances even and odd ranks,
+    with up- and down-sets from testing every pair of faces."""
+    faces = [(r, m) for r in masks for m in masks[r]]
+    up = [sum(1 << j for j, (_, mj) in enumerate(faces) if mi & ~mj == 0)
+          for _, mi in faces]
+    down = [sum(1 << i for i, (_, mi) in enumerate(faces) if mi & ~mj == 0)
+            for _, mj in faces]
+    even = sum(1 << j for j, (r, _) in enumerate(faces) if r % 2 == 0)
+    for i, (ri, _) in enumerate(faces):
+        for j, (rj, _) in enumerate(faces):
+            if rj - ri >= 2 and up[i] >> j & 1:
+                inner = up[i] & down[j]
+                if 2 * (inner & even).bit_count() != inner.bit_count():
+                    return False
+    return True
+
+
+def _oracle_lattices(small_corpus):
+    return [*small_corpus, build_cube(6), build_crosspolytope(6),
+            build_cyclic(7, 12), FaceLattice(2, NON_GRADED)]
 
 
 def test_simplex_f_vectors():
@@ -62,6 +107,47 @@ def test_a_vertex_set_at_two_ranks_is_refused():
              (1, [0, 1]), (1, [1, 2]), (1, [0, 2]), (1, [0]), (2, [0, 1, 2])]
     with pytest.raises(InvalidParams, match=r"\[0\]"):
         FaceLattice(2, faces)
+
+
+def test_a_strict_inclusion_must_raise_the_rank():
+    faces = [(-1, []), (0, [0]), (0, [1]), (0, [2]), (0, [3]),
+             (1, [0, 1]), (1, [0, 1, 2]), (2, [0, 1, 2, 3])]
+    with pytest.raises(InvalidParams, match=r"\[0, 1\].*\[0, 1, 2\]"):
+        FaceLattice(2, faces)
+    # and so is a face inside a face of lower rank
+    faces = [(-1, []), (0, [0]), (0, [1]), (0, [2]), (0, [3]),
+             (1, [0, 1, 2]), (2, [0, 1]), (3, [0, 1, 2, 3])]
+    with pytest.raises(InvalidParams, match="rank 2 lies strictly inside"):
+        FaceLattice(3, faces)
+
+
+def test_incidence_matches_the_all_pairs_oracle(small_corpus):
+    for L in _oracle_lattices(small_corpus):
+        masks = _masks(L)
+        for a in masks:
+            for b in masks:
+                assert L._faces_below(a, b) == _faces_below_oracle(masks, a, b), (
+                    L, a, b)
+
+
+def test_dual_and_eulerian_match_the_oracles(small_corpus):
+    for L in _oracle_lattices(small_corpus):
+        masks = _masks(L)
+        try:
+            want = FaceLattice(L.d, _dual_faces_oracle(L, masks)).to_json()
+        except InvalidParams as exc:
+            with pytest.raises(InvalidParams, match=re.escape(str(exc))):
+                L.dual()
+        else:
+            assert L.dual().to_json() == want, L
+        assert L.is_eulerian() == _is_eulerian_oracle(masks), L
+
+
+def test_non_graded_lattice_keeps_inclusion_semantics():
+    L = FaceLattice(2, NON_GRADED)
+    assert not L.is_eulerian()
+    assert L._faces_below(0, 2) == ((0, 1, 2, 3),)
+    assert L.flag_number((0, 1)) == 6
 
 
 def test_cube_crosspolytope_polygon():
@@ -189,10 +275,18 @@ def test_is_eulerian():
 
 
 def test_broken_lattice_is_not_eulerian():
-    L = build_simplex(4)
-    removed = L.faces(3)[0]
-    faces = [(r, f) for r, f in L.all_faces() if not (r == 3 and f == removed)]
-    assert not FaceLattice(4, faces).is_eulerian()
+    cube = build_cube(4)
+    for L, rank in [(build_simplex(4), 3), (cube, 1), (cube, 2), (cube, 3)]:
+        removed = L.faces(rank)[0]
+        faces = [(r, f) for r, f in L.all_faces()
+                 if not (r == rank and f == removed)]
+        assert not FaceLattice(L.d, faces).is_eulerian(), (L, rank)
+    # every vertex lies in two edges, so only the intervals from the empty
+    # face are unbalanced: one edge has three vertices
+    faces = [(-1, []), *((0, [v]) for v in range(6)),
+             (1, [0, 1, 2]), (1, [3, 4, 5]), (1, [0, 3]), (1, [1, 4]),
+             (1, [2, 5]), (2, range(6))]
+    assert not FaceLattice(2, faces).is_eulerian()
 
 
 def test_json_round_trip(c58):
