@@ -15,7 +15,7 @@ from . import __version__
 from . import cdindex as cdx
 from . import families, flagalg, forms, lattice, verify
 from .errors import FlagVecError, InvalidParams, NotEulerian
-from .rational import approx_str, rat_to_str
+from .rational import approx_str, is_json_int, rat_to_str
 
 FAMILIES = ("simplex", "cube", "crosspolytope", "cyclic", "polygon", "p7n")
 
@@ -51,15 +51,27 @@ def _build_family(family: str, d, n, cache_dir=None) -> "lattice.FaceLattice":
 
 def _cached_lattice(family: str, d, n, cache_dir) -> "lattice.FaceLattice":
     import os
+    import tempfile
 
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"{family}-d{d}-n{n}.json")
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            return lattice.FaceLattice.from_json(fh.read())
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return lattice.FaceLattice.from_json(fh.read())
+        except (InvalidParams, ValueError) as exc:
+            raise InvalidParams(f"cache file {path}: {exc}") from None
     L = _build_family(family, d, n)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(L.to_json())
+    # write a temporary file beside the cache file and rename it into place,
+    # so a reader never sees a half-written cache file
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(L.to_json())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return L
 
 
@@ -95,10 +107,21 @@ def _parse_vector(text: str) -> list[int]:
         with open(text[1:], encoding="utf-8") as fh:
             text = fh.read().strip()
         if text.startswith("{"):
-            doc = json.loads(text)
-            return [int(x) for x in doc["f"]]
+            f = json.loads(text).get("f")
+            _need(isinstance(f, list) and all(map(_is_count, f)),
+                  '"f" must be a list of integers or decimal-digit strings,'
+                  f" got {json.dumps(f)}")
+            return [int(x) for x in f]
     parts = [p for p in text.replace(" ", "").split(",") if p]
     return [int(p) for p in parts]
+
+
+def _is_count(x) -> bool:
+    """A JSON integer (not a bool), or a string of decimal digits as
+    ``generate`` prints them."""
+    if isinstance(x, str):
+        return x.isascii() and x.isdigit()
+    return is_json_int(x)
 
 
 def cmd_check(args) -> int:
@@ -148,8 +171,12 @@ def cmd_cdindex(args) -> int:
     L = _build_family(args.family, args.d, args.n, args.cache_dir)
     v = L.flag_vector()
     if args.coeff:
-        value = cdx.cd_coefficient(v, _normalize_word(args.coeff))
-        _emit_json({"d": L.d, "word": args.coeff, "value": rat_to_str(value)}, args)
+        value = rat_to_str(cdx.cd_coefficient(v, _normalize_word(args.coeff)))
+        if args.format == "csv":
+            print("word,value")
+            print(f"{args.coeff},{value}")
+        else:
+            _emit_json({"d": L.d, "word": args.coeff, "value": value}, args)
         return 0
     poly = cdx.cd_index(v)
     coeffs = {word: rat_to_str(c) for word, c in poly.ordered_terms()}

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import IncompleteBasis, InvalidParams, MissingEntry
-from .rational import normalize, rat_from_json, rat_to_str
+from .rational import is_json_int, normalize, rat_from_json, rat_to_str
 
 # ----------------------------------------------------------------------
 # value containers
@@ -77,7 +77,7 @@ def read_flag_json(text: str, body: str) -> tuple[int, dict]:
     """
     doc = json.loads(text)
     d = doc.get("d") if isinstance(doc, dict) else None
-    if not isinstance(d, int) or isinstance(d, bool):
+    if not is_json_int(d):
         raise InvalidParams(f'"d" must be an integer, got {json.dumps(d)}')
     entries = doc.get(body)
     if not isinstance(entries, dict):

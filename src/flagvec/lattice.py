@@ -3,10 +3,10 @@
 Faces are stored as vertex-index sets with an explicit rank (rank = dimension,
 so vertices have rank 0, the empty face rank -1, the whole polytope rank d);
 the order relation is set inclusion.  Flag vectors, duals, quotients and the
-Eulerian test are all read from one exact inclusion incidence, which tests a
-face only against the faces of another rank that hold its lowest vertex; this
-enumeration makes the module the ground truth every closed form is tested
-against.
+Eulerian test are all read from one exact inclusion incidence: per rank, each
+vertex has a bitset of the faces of that rank holding it, and the faces over a
+face are the AND of its vertices' bitsets.  This enumeration makes the module
+the ground truth every closed form is tested against.
 
 All counts are Python ints, so nothing overflows; lattices are immutable after
 construction and the internal caches are only ever filled, never invalidated,
@@ -20,6 +20,7 @@ import os
 
 from .errors import DeskScaleExceeded, FaceNotInLattice, InvalidParams
 from .flagalg import FlagVector, FVector
+from .rational import is_json_int
 
 MAX_DIMENSION = 8
 DEFAULT_MAX_FACES = 10**6
@@ -91,15 +92,14 @@ class FaceLattice:
         self._masks: list[tuple[int, ...]] = [
             tuple(_mask(f) for f in level) for level in self._ranks]
         self._index: dict[int, tuple[int, int]] = {}  # mask -> (rank, index)
-        # per rank, each vertex -> indices of the faces of that rank holding it
-        self._containing: list[dict[int, list[int]]] = [{} for _ in by_rank]
         for r, (level, masks) in enumerate(zip(self._ranks, self._masks)):
             for i, (f, m) in enumerate(zip(level, masks)):
                 if self._index.setdefault(m, (r - 1, i)) != (r - 1, i):
                     raise InvalidParams(f"vertex set {sorted(f)} appears at two ranks")
-                for v in f:
-                    self._containing[r].setdefault(v, []).append(i)
         # lazily filled caches
+        # per rank, each vertex -> (first, bits): the faces of that rank
+        # holding it are first + k for the set bits k of bits
+        self._windows: list[dict[int, tuple[int, int]] | None] = [None] * (d + 2)
         self._below: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         self._flags: FlagVector | None = None
         self._toric_g_memo: dict[tuple[int, int], tuple] = {}
@@ -175,23 +175,53 @@ class FaceLattice:
     # ------------------------------------------------------------------
     # chain enumeration
 
+    def _vertex_windows(self, b: int) -> dict[int, tuple[int, int]]:
+        """Per vertex, the rank-b faces holding it as a bitset over face
+        indices, stored from the vertex's first such face onward."""
+        windows = self._windows[b + 1]
+        if windows is None:
+            holding: dict[int, list[int]] = {}
+            for j, f in enumerate(self._ranks[b + 1]):
+                for v in f:
+                    holding.setdefault(v, []).append(j)
+            windows = self._windows[b + 1] = {
+                v: (js[0], sum(1 << (j - js[0]) for j in js))
+                for v, js in holding.items()}
+        return windows
+
     def _faces_below(self, a: int, b: int) -> tuple[tuple[int, ...], ...]:
         """For each rank-b face, the indices of the rank-a faces under it.
 
-        The lattice's one inclusion test: a rank-a face is tried only against
-        the rank-b faces that hold its lowest vertex."""
+        The lattice's one inclusion test: the rank-b faces over a rank-a face
+        are the AND of its vertices' rank-b windows (every rank-b face for the
+        empty face), so only the faces over it are ever visited."""
         key = (a, b)
         cached = self._below.get(key)
         if cached is not None:
             return cached
-        bmasks = self._masks[b + 1]
-        containing = self._containing[b + 1]
-        inside: list[list[int]] = [[] for _ in bmasks]
-        for i, m in enumerate(self._masks[a + 1]):
-            lowest = (m & -m).bit_length() - 1
-            for j in containing.get(lowest, ()) if m else range(len(bmasks)):
-                if m & ~bmasks[j] == 0:
-                    inside[j].append(i)
+        windows = self._vertex_windows(b)
+        inside: list[list[int]] = [[] for _ in self._ranks[b + 1]]
+        for i, f in enumerate(self._ranks[a + 1]):
+            if not f:
+                for idxs in inside:
+                    idxs.append(i)
+                continue
+            vertices = iter(f)
+            first, bits = windows.get(next(vertices), (0, 0))
+            for v in vertices:
+                if not bits:
+                    break
+                start, vbits = windows.get(v, (0, 0))
+                if start > first:  # align both windows at the later start
+                    bits = (bits >> (start - first)) & vbits
+                    first = start
+                else:
+                    bits &= vbits >> (first - start)
+            while bits:  # peel the lowest set bit, face first + k - 1
+                k = (bits & -bits).bit_length()
+                inside[first + k - 1].append(i)
+                first += k
+                bits >>= k
         out = self._below[key] = tuple(map(tuple, inside))
         return out
 
@@ -207,7 +237,7 @@ class FaceLattice:
         counts = [1] * len(self._ranks[S[0] + 1])
         for a, b in zip(S, S[1:]):
             below = self._faces_below(a, b)
-            counts = [sum(counts[i] for i in idxs) for idxs in below]
+            counts = [sum(map(counts.__getitem__, idxs)) for idxs in below]
         return sum(counts)
 
     def flag_vector(self) -> FlagVector:
@@ -224,7 +254,7 @@ class FaceLattice:
         def extend(prefix: tuple[int, ...], counts: list[int]):
             for r in range(prefix[-1] + 1, d):
                 below = self._faces_below(prefix[-1], r)
-                nxt = [sum(counts[i] for i in idxs) for idxs in below]
+                nxt = [sum(map(counts.__getitem__, idxs)) for idxs in below]
                 entries[prefix + (r,)] = sum(nxt)
                 extend(prefix + (r,), nxt)
 
@@ -335,8 +365,27 @@ class FaceLattice:
 
     @classmethod
     def from_json(cls, text: str) -> "FaceLattice":
+        """The lattice of a ``to_json`` document; any other shape raises
+        InvalidParams."""
         doc = json.loads(text)
-        return cls(doc["d"], [(f["rank"], f["vertices"]) for f in doc["faces"]])
+        d = doc.get("d") if isinstance(doc, dict) else None
+        if not is_json_int(d):
+            raise InvalidParams(f'"d" must be an integer, got {json.dumps(d)}')
+        faces = doc.get("faces")
+        if not isinstance(faces, list):
+            raise InvalidParams(f'"faces" must be a list, got {json.dumps(faces)}')
+        out = []
+        for k, face in enumerate(faces):
+            if isinstance(face, dict):
+                rank, verts = face.get("rank"), face.get("vertices")
+                if (is_json_int(rank) and isinstance(verts, list)
+                        and all(is_json_int(v) and v >= 0 for v in verts)):
+                    out.append((rank, verts))
+                    continue
+            raise InvalidParams(
+                f'face {k} must be {{"rank": integer, "vertices": [integer >= 0,'
+                f' ...]}}, got {json.dumps(face)}')
+        return cls(d, out)
 
 
 # ----------------------------------------------------------------------
@@ -406,22 +455,32 @@ def build_cyclic(d: int, n: int) -> FaceLattice:
 
 
 def build_cube(d: int) -> FaceLattice:
-    """Face lattice of the d-cube; faces are boxes fixing a sign pattern."""
+    """Face lattice of the d-cube; faces are boxes fixing a sign pattern.
+
+    Vertex v is the 0/1 point whose coordinate i is bit i of v.  The face
+    with free axes ``free`` (a bit mask) through the corner ``base`` (a
+    submask of the fixed axes) holds the vertices base | s for the
+    submasks s of ``free``.
+    """
     _check_dim(d, 1)
+    full = (1 << d) - 1
     faces: list[tuple[int, list[int]]] = [(-1, [])]
-    for free in _powerset(range(d)):
-        fixed = [i for i in range(d) if i not in free]
-        for bits in itertools.product((0, 1), repeat=len(fixed)):
-            verts = []
-            for extra in itertools.product((0, 1), repeat=len(free)):
-                coord = [0] * d
-                for i, b in zip(fixed, bits):
-                    coord[i] = b
-                for i, b in zip(free, extra):
-                    coord[i] = b
-                verts.append(sum(b << i for i, b in enumerate(coord)))
-            faces.append((len(free), verts))
+    for free in range(full + 1):
+        spans = list(_submasks(free))
+        rank = free.bit_count()
+        faces += [(rank, [base | s for s in spans])
+                  for base in _submasks(full ^ free)]
     return FaceLattice(d, faces)
+
+
+def _submasks(mask: int):
+    """Every submask of ``mask``, from ``mask`` itself down to 0."""
+    s = mask
+    while True:
+        yield s
+        if not s:
+            return
+        s = (s - 1) & mask
 
 
 def build_crosspolytope(d: int) -> FaceLattice:
@@ -448,12 +507,6 @@ def build_polygon(n: int) -> FaceLattice:
         faces.append((0, (i,)))
         faces.append((1, (i, (i + 1) % n)))
     return FaceLattice(2, faces)
-
-
-def _powerset(iterable):
-    items = list(iterable)
-    for size in range(len(items) + 1):
-        yield from itertools.combinations(items, size)
 
 
 # functional aliases for the derived-lattice operations

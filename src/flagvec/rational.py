@@ -34,10 +34,15 @@ def rat_from_str(s):
     return int(s)
 
 
+def is_json_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def rat_from_json(value, key: str):
     """An exact number from a JSON value: an integer, or a string "n" or
     "p/q".  Floats and booleans are refused; ``key`` names the entry."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    if is_json_int(value):
         return value
     if isinstance(value, str):
         try:

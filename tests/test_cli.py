@@ -71,6 +71,17 @@ def test_check_reads_files(tmp_path, capsys):
     assert json.loads(out)["euler"] is True
 
 
+@pytest.mark.parametrize("doc", ['{"f": 5}', '{"f": [1.5, 2]}',
+                                 '{"f": [true, 6, 4]}', '{"f": ["4.0", 6, 4]}',
+                                 '{"g": [4, 6, 4]}'])
+def test_check_refuses_a_malformed_file(tmp_path, capsys, doc):
+    path = tmp_path / "vec.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, "check", f"@{path}")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_flags_output_round_trips(capsys):
     from flagvec import FlagVector, build_simplex
 
@@ -98,6 +109,10 @@ def test_cdindex_single_coefficient(capsys):
                        "--coeff", "c2dc2", "--no-meta")
     assert code == 0
     assert json.loads(out)["value"] == "83"
+    code, out, _ = run(capsys, "cdindex", "cyclic", "-d", "6", "-n", "10",
+                       "--coeff", "c2dc2", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["word,value", "c2dc2,83"]
 
 
 def test_convolve_command(capsys):
@@ -191,6 +206,19 @@ def test_lattice_cache_round_trip(tmp_path, capsys):
     assert (tmp_path / "cyclic-d5-n7.json").exists()
     _, second, _ = run(capsys, *args)  # served from the cache file
     assert first == second
+    assert [p.name for p in tmp_path.iterdir()] == ["cyclic-d5-n7.json"]
+
+
+@pytest.mark.parametrize("doc", ['{"d": 2, "faces": 5}', '{"d": true, "faces": []}',
+                                 '{"d": 2, "faces": [{"rank": "0"}]}', '{"d": 2'])
+def test_a_malformed_cache_file_is_refused_by_name(tmp_path, capsys, doc):
+    path = tmp_path / "simplex-d2-nNone.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, "flags", "simplex", "-d", "2",
+                         "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cache file {path}: ")
 
 
 def test_outputs_are_deterministic(capsys):

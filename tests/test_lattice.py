@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from math import comb
@@ -59,9 +60,33 @@ def _is_eulerian_oracle(masks):
     return True
 
 
+def _cube_oracle(d):
+    """Test oracle: the d-cube by coordinate loops, vertex v being the 0/1
+    point whose coordinate i is bit i of v."""
+    faces = [(-1, [])]
+    for size in range(d + 1):
+        for free in itertools.combinations(range(d), size):
+            fixed = [i for i in range(d) if i not in free]
+            for bits in itertools.product((0, 1), repeat=len(fixed)):
+                verts = []
+                for extra in itertools.product((0, 1), repeat=len(free)):
+                    coord = [0] * d
+                    for i, b in zip(fixed, bits):
+                        coord[i] = b
+                    for i, b in zip(free, extra):
+                        coord[i] = b
+                    verts.append(sum(b << i for i, b in enumerate(coord)))
+                faces.append((len(free), verts))
+    return FaceLattice(d, faces)
+
+
 def _oracle_lattices(small_corpus):
+    # polygon(9): vertex 8 lies in the edges {0, 8} near the start of rank 1
+    # and {7, 8} at its end, so its window spans almost the whole rank;
+    # NON_GRADED has a vertex in no edge
     return [*small_corpus, build_cube(6), build_crosspolytope(6),
-            build_cyclic(7, 12), FaceLattice(2, NON_GRADED)]
+            build_cyclic(7, 12), build_polygon(9), dual(build_cube(4)),
+            FaceLattice(2, NON_GRADED)]
 
 
 def test_simplex_f_vectors():
@@ -148,6 +173,41 @@ def test_non_graded_lattice_keeps_inclusion_semantics():
     assert not L.is_eulerian()
     assert L._faces_below(0, 2) == ((0, 1, 2, 3),)
     assert L.flag_number((0, 1)) == 6
+
+
+def test_polygon_windows_wrap_around():
+    L = build_polygon(9)
+    edges = [sorted(e) for e in L.faces(1)]
+    assert edges.index([0, 8]) == 1 and edges.index([7, 8]) == 8
+    assert L._faces_below(0, 1)[1] == (0, 8)
+    # vertex 8's window starts at edge 1, and bit k stands for edge 1 + k
+    assert L._vertex_windows(1)[8] == (1, 1 << 0 | 1 << 7)
+    assert [j for j, inside in enumerate(L._faces_below(0, 1)) if 8 in inside] == [1, 8]
+
+
+def test_cube_builder_matches_the_coordinate_loop_oracle():
+    for d in range(1, 9):
+        assert build_cube(d).to_json() == _cube_oracle(d).to_json(), d
+
+
+def cube_flag_formula(d, S):
+    """f_S of the d-cube: 2^(d-s_k) C(d, s_k) faces of the top rank s_k,
+    and 2^(b-a) C(b, a) faces of rank a in each face of rank b."""
+    value = 2 ** (d - S[-1]) * comb(d, S[-1])
+    for a, b in zip(S, S[1:]):
+        value *= 2 ** (b - a) * comb(b, a)
+    return value
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_cube_and_crosspolytope_chains_match_the_cube_formula(d):
+    cube = build_cube(d).flag_vector()
+    cross = build_crosspolytope(d).flag_vector()
+    for size in range(1, d + 1):
+        for S in itertools.combinations(range(d), size):
+            mirrored = tuple(d - 1 - s for s in reversed(S))
+            assert cube.get(S) == cube_flag_formula(d, S), (d, S)
+            assert cross.get(mirrored) == cube_flag_formula(d, S), (d, S)
 
 
 def test_cube_crosspolytope_polygon():
@@ -294,6 +354,23 @@ def test_json_round_trip(c58):
     again = FaceLattice.from_json(text)
     assert again == c58
     assert json.loads(text)["d"] == 5
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"d": 2, "faces": 5}, '"faces" must be a list'),
+    ({"d": True, "faces": []}, '"d" must be an integer'),
+    ({"d": 1.0, "faces": []}, '"d" must be an integer'),
+    ({"faces": []}, '"d" must be an integer'),
+    ([1], '"d" must be an integer'),
+    ({"d": 1, "faces": [[-1, []]]}, "face 0 must be"),
+    ({"d": 1, "faces": [{"rank": -1, "vertices": []}, {"rank": 0}]}, "face 1 must be"),
+    ({"d": 1, "faces": [{"rank": False, "vertices": [0]}]}, "face 0 must be"),
+    ({"d": 1, "faces": [{"rank": 0, "vertices": [1.5]}]}, "face 0 must be"),
+    ({"d": 1, "faces": [{"rank": 0, "vertices": [-1]}]}, "face 0 must be"),
+])
+def test_from_json_refuses_a_malformed_document(doc, message):
+    with pytest.raises(InvalidParams, match=re.escape(message)):
+        FaceLattice.from_json(json.dumps(doc))
 
 
 def test_desk_scale_guards(monkeypatch):
