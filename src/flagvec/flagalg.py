@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import IncompleteBasis, InvalidParams, MissingEntry
-from .rational import is_json_int, normalize, rat_from_json, rat_to_str
+from .rational import is_json_int, normalize, rat_exact, rat_from_json, rat_to_str
 
 # ----------------------------------------------------------------------
 # value containers
@@ -105,7 +105,7 @@ class FlagVector:
             S = tuple(sorted(set(S)))
             if S and not (0 <= S[0] and S[-1] < d):
                 raise InvalidParams(f"index set {S} outside 0..{d - 1}")
-            norm[S] = normalize(Fraction(value))
+            norm[S] = normalize(rat_exact(value, S))
         if norm.setdefault((), 1) != 1:
             raise InvalidParams("f_empty must equal 1")
         self.entries = norm
@@ -269,7 +269,7 @@ def complete_from_sparse(values: dict, d: int) -> FlagVector:
         S = tuple(sorted(set(S)))
         if not is_sparse(S, d):
             raise InvalidParams(f"{S} is not a sparse index set for d={d}")
-        norm[S] = normalize(Fraction(value))
+        norm[S] = normalize(rat_exact(value, S))
     if norm.setdefault((), 1) != 1:
         raise InvalidParams("f_empty must equal 1")
     missing = [S for S in basis if S not in norm]

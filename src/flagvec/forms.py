@@ -24,7 +24,7 @@ from .flagalg import (
     subset_key,
 )
 from .families import PropertyReport, properties
-from .rational import normalize, rat_to_str
+from .rational import normalize, rat_exact, rat_to_str
 
 
 class FlagForm:
@@ -41,7 +41,7 @@ class FlagForm:
             S = tuple(sorted(set(S)))
             if S and not (0 <= S[0] and S[-1] < d):
                 raise InvalidParams(f"index set {S} outside 0..{d - 1}")
-            c = Fraction(c)
+            c = Fraction(rat_exact(c, S))
             if c:
                 norm[S] = norm.get(S, Fraction(0)) + c
         self.coeffs = {S: c for S, c in norm.items() if c}

@@ -1,12 +1,14 @@
 """Combinatorial face lattices of standard polytope families.
 
-Faces are stored as vertex-index sets with an explicit rank (rank = dimension,
-so vertices have rank 0, the empty face rank -1, the whole polytope rank d);
-the order relation is set inclusion.  Flag vectors, duals, quotients and the
-Eulerian test are all read from one exact inclusion incidence: per rank, each
-vertex has a bitset of the faces of that rank holding it, and the faces over a
-face are the AND of its vertices' bitsets.  This enumeration makes the module
-the ground truth every closed form is tested against.
+Each face is stored once, as a frozenset of vertex labels with an explicit
+rank (rank = dimension, so vertices have rank 0, the empty face rank -1, the
+whole polytope rank d); the order relation is set inclusion.  Vertex labels
+may be any nonnegative ints, and a large label costs no more than a small one.
+Flag vectors, duals, quotients and the Eulerian test are all read from one
+exact inclusion incidence: per rank, each vertex has a bitset of the faces of
+that rank holding it, and the faces over a face are the AND of its vertices'
+bitsets.  This enumeration makes the module the ground truth every closed form
+is tested against.
 
 All counts are Python ints, so nothing overflows; lattices are immutable after
 construction and the internal caches are only ever filled, never invalidated,
@@ -32,14 +34,10 @@ def max_faces() -> int:
     value = os.environ.get(MAX_FACES_ENV)
     if value is None:
         return DEFAULT_MAX_FACES
+    if not (value.isascii() and value.isdigit() and int(value) >= 1):
+        raise InvalidParams(
+            f"{MAX_FACES_ENV} must be a decimal integer >= 1, got {value!r}")
     return int(value)
-
-
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 class FaceLattice:
@@ -47,7 +45,8 @@ class FaceLattice:
 
     ``faces`` is an iterable of (rank, vertex-iterable) pairs; it must contain
     exactly one rank -1 face (empty) and one rank d face (all vertices), and
-    every vertex appearing anywhere must occur as a rank 0 singleton.
+    every vertex appearing anywhere must occur as a rank 0 singleton.  Each
+    face is kept once, as a frozenset, whatever the size of its vertex labels.
     """
 
     def __init__(self, d: int, faces):
@@ -89,12 +88,11 @@ class FaceLattice:
         self.d = d
         self._ranks: list[tuple[frozenset[int], ...]] = [
             tuple(sorted(level, key=sorted)) for level in by_rank]
-        self._masks: list[tuple[int, ...]] = [
-            tuple(_mask(f) for f in level) for level in self._ranks]
-        self._index: dict[int, tuple[int, int]] = {}  # mask -> (rank, index)
-        for r, (level, masks) in enumerate(zip(self._ranks, self._masks)):
-            for i, (f, m) in enumerate(zip(level, masks)):
-                if self._index.setdefault(m, (r - 1, i)) != (r - 1, i):
+        # face -> (rank, index), keyed by the very frozensets in _ranks
+        self._index: dict[frozenset[int], tuple[int, int]] = {}
+        for r, level in enumerate(self._ranks):
+            for i, f in enumerate(level):
+                if self._index.setdefault(f, (r - 1, i)) != (r - 1, i):
                     raise InvalidParams(f"vertex set {sorted(f)} appears at two ranks")
         # lazily filled caches
         # per rank, each vertex -> (first, bits): the faces of that rank
@@ -150,8 +148,8 @@ class FaceLattice:
 
     def _locate(self, face) -> tuple[int, int]:
         try:
-            return self._index[_mask(face)]
-        except (KeyError, ValueError):
+            return self._index[frozenset(face)]
+        except KeyError:
             raise FaceNotInLattice(f"{sorted(face)} is not a face") from None
 
     def rank(self, face) -> int:
@@ -163,8 +161,7 @@ class FaceLattice:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FaceLattice):
             return NotImplemented
-        return self.d == other.d and all(
-            set(a) == set(b) for a, b in zip(self._ranks, other._ranks))
+        return self.d == other.d and self._ranks == other._ranks
 
     def __hash__(self):
         return hash((self.d, self.face_count(), self.n_vertices()))
@@ -281,9 +278,11 @@ class FaceLattice:
         members = [(r, j) for r in range(rl, ru + 1)
                    for j in self._faces_below(r, ru)[iu]
                    if il in self._faces_below(rl, r)[j]]
-        # the interval's vertices are its atoms, numbered in mask order
+        # the interval's vertices are its atoms, numbered in the order of
+        # their vertex labels read from the largest down
+        level = self._ranks[rl + 2]
         atoms = sorted((j for r, j in members if r == rl + 1),
-                       key=self._masks[rl + 2].__getitem__)
+                       key=lambda j: sorted(level[j], reverse=True))
         vertex_of = {j: k for k, j in enumerate(atoms)}
         faces = [(r - rl - 1,
                   [vertex_of[i] for i in self._faces_below(rl + 1, r)[j]
@@ -308,7 +307,7 @@ class FaceLattice:
         """Order-reversed lattice; vertices of the dual are the facets."""
         faces = []
         for r in range(-1, self.d + 1):
-            over: list[list[int]] = [[] for _ in self._masks[r + 1]]
+            over: list[list[int]] = [[] for _ in self._ranks[r + 1]]
             for j, inside in enumerate(self._faces_below(r, self.d - 1)):
                 for i in inside:
                     over[i].append(j)
@@ -325,7 +324,7 @@ class FaceLattice:
         the relative parity shift inside an interval is constant, which lets
         global rank parity stand in for interval-local parity.
         """
-        start = [0, *itertools.accumulate(map(len, self._masks))]
+        start = [0, *itertools.accumulate(map(len, self._ranks))]
         n = start[-1]
         up, down = [0] * n, [0] * n  # bitsets over the faces in rank order
         for a in range(-1, self.d + 1):
@@ -336,7 +335,7 @@ class FaceLattice:
                         up[start[a + 1] + i] |= 1 << gj
                         down[gj] |= 1 << (start[a + 1] + i)
         flat_rank = [r for r in range(-1, self.d + 1)
-                     for _ in self._masks[r + 1]]
+                     for _ in self._ranks[r + 1]]
         even = sum(1 << j for j, r in enumerate(flat_rank) if r % 2 == 0)
         for i in range(n):
             m = up[i]
@@ -402,16 +401,10 @@ def _check_dim(d: int, low: int):
 
 def _simplicial_lattice(d: int, n: int, facets) -> FaceLattice:
     """Close a set of facets (vertex tuples) under taking subsets."""
-    faces: list[tuple[int, tuple[int, ...]]] = [(-1, ()), (d, tuple(range(n)))]
-    seen: set[frozenset[int]] = set()
-    for facet in facets:
-        for size in range(1, d + 1):
-            for sub in itertools.combinations(facet, size):
-                fs = frozenset(sub)
-                if fs not in seen:
-                    seen.add(fs)
-                    faces.append((size - 1, sub))
-    return FaceLattice(d, faces)
+    proper = {frozenset(sub) for facet in facets for size in range(1, d + 1)
+              for sub in itertools.combinations(facet, size)}
+    return FaceLattice(d, [(-1, ()), (d, range(n)),
+                           *((len(f) - 1, f) for f in proper)])
 
 
 def build_simplex(d: int) -> FaceLattice:

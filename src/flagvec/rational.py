@@ -54,6 +54,17 @@ def rat_from_json(value, key: str):
         ' give an integer or a string such as "1/3"')
 
 
+def rat_exact(value, key):
+    """An exact number passed from Python: an int or a Fraction.  Floats,
+    booleans and strings are refused; ``key``, the entry's index set, names
+    it in the error."""
+    if is_json_int(value) or isinstance(value, Fraction):
+        return value
+    raise InvalidParams(
+        f"entry {key!r}: {value!r} is not an exact number;"
+        " give an int or a Fraction")
+
+
 def approx_str(x, digits: int = 12) -> str:
     """Decimal approximation, explicitly not exact."""
     return f"{float(Fraction(x)):.{digits}g}"

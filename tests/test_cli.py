@@ -228,3 +228,22 @@ def test_outputs_are_deterministic(capsys):
     _, a, _ = run(capsys, "candidates", "6", "--ell", "3")
     _, b, _ = run(capsys, "candidates", "6", "--ell", "3")
     assert a == b
+
+
+def test_a_huge_vertex_label_in_a_cache_file_is_read(tmp_path, capsys):
+    big = 2 ** 70  # 1180591620717411303424
+    (tmp_path / "simplex-d0-nNone.json").write_text(json.dumps(
+        {"d": 0, "faces": [{"rank": -1, "vertices": []},
+                           {"rank": 0, "vertices": [big]}]}))
+    code, out, err = run(capsys, "flags", "simplex", "-d", "0", "--no-meta",
+                         "--cache-dir", str(tmp_path))
+    assert code == 0 and err == ""
+    assert out == run(capsys, "flags", "simplex", "-d", "0", "--no-meta")[1]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
+def test_a_malformed_face_budget_is_refused_by_name(monkeypatch, capsys, value):
+    monkeypatch.setenv("FLAGVEC_MAX_FACES", value)
+    code, out, err = run(capsys, "generate", "cube", "-d", "3")
+    assert code == 2 and out == ""
+    assert err == f"error: FLAGVEC_MAX_FACES must be a decimal integer >= 1, got {value!r}\n"

@@ -24,6 +24,7 @@ from flagvec import (
     sparse_basis,
 )
 from flagvec.flagalg import is_sparse, parse_sparse_json, parse_subset_key, subset_key
+from flagvec.forms import FlagForm
 
 
 def test_sparse_basis_sizes_are_fibonacci():
@@ -192,3 +193,21 @@ def test_flag_vector_guards():
     assert not v.complete
     with pytest.raises(MissingEntry):
         v.get((1,))
+
+
+@pytest.mark.parametrize("value", [0.5, 4.0, True, False, "4", "1/2", None])
+@pytest.mark.parametrize("make", [
+    lambda value: FlagVector(3, {(0,): value}),
+    lambda value: FlagForm(3, {(0,): value}),
+    lambda value: complete_from_sparse({(): 1, (0,): value}, 2),
+], ids=["FlagVector", "FlagForm", "complete_from_sparse"])
+def test_python_values_must_be_exact(make, value):
+    with pytest.raises(InvalidParams, match=r"entry \(0,\): .* not an exact number"):
+        make(value)
+
+
+def test_python_ints_and_fractions_are_accepted():
+    assert FlagVector(3, {(0,): Fraction(8, 2)}).get((0,)) == 4
+    assert FlagForm(3, {(0,): 2, (1,): Fraction(1, 2)}).coeffs == {
+        (0,): 2, (1,): Fraction(1, 2)}
+    assert complete_from_sparse({(0,): Fraction(3)}, 2).get((1,)) == 3

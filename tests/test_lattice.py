@@ -1,6 +1,8 @@
 import itertools
 import json
+import random
 import re
+import tracemalloc
 from math import comb
 
 import pytest
@@ -18,11 +20,18 @@ from flagvec import (
     dual,
     quotient,
 )
-from flagvec.lattice import MAX_FACES_ENV, _mask
+from flagvec.lattice import MAX_FACES_ENV
 
 # the triangle whose top face also holds a vertex 3 that lies in no edge
 NON_GRADED = [(-1, []), (0, [0]), (0, [1]), (0, [2]), (0, [3]),
               (1, [0, 1]), (1, [1, 2]), (1, [0, 2]), (2, [0, 1, 2, 3])]
+
+
+def _mask(vertices) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
 
 
 def _masks(L):
@@ -78,6 +87,33 @@ def _cube_oracle(d):
                     verts.append(sum(b << i for i, b in enumerate(coord)))
                 faces.append((len(free), verts))
     return FaceLattice(d, faces)
+
+
+def _interval_oracle(L, lower, upper):
+    """Test oracle: [lower, upper] from testing every pair of faces, its
+    atoms numbered in increasing mask order."""
+    lo, up = _mask(lower), _mask(upper)
+    rl = L.rank(lower)
+    members = [(r, m) for r, f in L.all_faces()
+               if lo & ~(m := _mask(f)) == 0 and m & ~up == 0]
+    atoms = sorted(m for r, m in members if r == rl + 1)
+    return FaceLattice(L.rank(upper) - rl - 1, [
+        (r - rl - 1, [k for k, a in enumerate(atoms) if a & ~m == 0])
+        for r, m in members])
+
+
+def _prism(L):
+    """The prism L x [0, 1]; vertex (v, t) is labelled 2v + t."""
+    faces = [(-1, [])]
+    for r, f in L.all_faces():
+        if f:
+            faces += [(r, [2 * v for v in f]), (r, [2 * v + 1 for v in f]),
+                      (r + 1, [2 * v + t for v in f for t in (0, 1)])]
+    return FaceLattice(L.d + 1, faces)
+
+
+def _relabel(L, label):
+    return FaceLattice(L.d, [(r, [label[v] for v in f]) for r, f in L.all_faces()])
 
 
 def _oracle_lattices(small_corpus):
@@ -274,8 +310,51 @@ def test_quotient_rejects_foreign_faces():
     cube = build_cube(2)
     with pytest.raises(FaceNotInLattice):
         quotient(cube, (0, 3))  # a diagonal of the square is not a face
+    with pytest.raises(FaceNotInLattice):
+        build_cube(3).rank(("a",))
     with pytest.raises(InvalidParams):
         quotient(cube, cube.top())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_interval_atoms_are_numbered_in_mask_order(seed):
+    # the octahedral prism is neither simple nor simplicial, so its vertex
+    # figures (square pyramids) and facets (octahedra, square prisms) depend
+    # on the atom order; the labels are a random injection into 0..47
+    prism = _prism(build_crosspolytope(3))
+    vertices = sorted(v for (v,) in prism.faces(0))
+    L = _relabel(prism, dict(zip(vertices, random.Random(seed).sample(range(48), 12))))
+    for r, f in L.all_faces():
+        if r < L.d:
+            assert L.quotient(f).to_json() == _interval_oracle(L, f, L.top()).to_json()
+        if r > -1:
+            assert L.restriction(f).to_json() == _interval_oracle(L, (), f).to_json()
+
+
+def test_huge_vertex_labels_behave_like_small_ones():
+    big = 2 ** 70
+    faces = [(-1, []), (0, [big]), (0, [big + 1]), (0, [3]),
+             (1, [big, big + 1]), (1, [3, big]), (1, [3, big + 1]),
+             (2, [3, big, big + 1])]
+    L, triangle = FaceLattice(2, faces), build_simplex(2)
+    assert L.flag_vector() == triangle.flag_vector()
+    assert L.dual().to_json() == triangle.dual().to_json()
+    assert L.is_eulerian() and triangle.is_eulerian()
+    assert L.rank([big]) == 0
+
+
+def test_flag_vector_memory_grows_linearly_on_polygons():
+    def peak(n):
+        tracemalloc.start()
+        try:
+            build_polygon(n).flag_vector()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # linear growth gives about 4x for 4x the vertices; per-face vertex
+    # bitmasks as wide as the highest label would give about 6x
+    assert peak(8000) <= 5 * peak(2000)
 
 
 def test_restriction_gives_face_as_polytope():
