@@ -5,10 +5,17 @@ rank (rank = dimension, so vertices have rank 0, the empty face rank -1, the
 whole polytope rank d); the order relation is set inclusion.  Vertex labels
 may be any nonnegative ints, and a large label costs no more than a small one.
 Flag vectors, duals, quotients and the Eulerian test are all read from one
-exact inclusion incidence: per rank, each vertex has a bitset of the faces of
-that rank holding it, and the faces over a face are the AND of its vertices'
-bitsets.  This enumeration makes the module the ground truth every closed form
-is tested against.
+exact inclusion incidence, ``_above``: per rank, each vertex has a bitset of
+the faces of that rank holding it, and the faces over a face are the AND of
+its vertices' bitsets.  Every bitset is a window ``(first, bits)`` stored from
+its first face on, so a face with few faces over it costs few bits however
+many faces the lattice has.  ``flag_vector`` adds each face's chain counts,
+packed into one int, into the faces of its windows, rank by rank;
+``is_eulerian`` ANDs windows over and under the two ends of each interval of
+even rank gap; ``dual`` reads each face's window of facets.  Only the toric
+g recursion, ``interval`` and the construction check scatter windows into
+index tuples (``_faces_below``).  This enumeration makes the module the ground
+truth every closed form is tested against.
 
 All counts are Python ints, so nothing overflows; lattices are immutable after
 construction and the internal caches are only ever filled, never invalidated,
@@ -34,10 +41,14 @@ def max_faces() -> int:
     value = os.environ.get(MAX_FACES_ENV)
     if value is None:
         return DEFAULT_MAX_FACES
-    if not (value.isascii() and value.isdigit() and int(value) >= 1):
+    try:
+        budget = int(value) if value.isascii() and value.isdigit() else 0
+    except ValueError:  # more digits than int() may convert
+        budget = 0
+    if budget < 1:
         raise InvalidParams(
             f"{MAX_FACES_ENV} must be a decimal integer >= 1, got {value!r}")
-    return int(value)
+    return budget
 
 
 class FaceLattice:
@@ -186,22 +197,19 @@ class FaceLattice:
                 for v, js in holding.items()}
         return windows
 
-    def _faces_below(self, a: int, b: int) -> tuple[tuple[int, ...], ...]:
-        """For each rank-b face, the indices of the rank-a faces under it.
+    def _above(self, a: int, b: int) -> list[tuple[int, int]]:
+        """For each rank-a face, the rank-b faces over it as a window
+        ``(first, bits)``: faces first + k for the set bits k of bits.
 
-        The lattice's one inclusion test: the rank-b faces over a rank-a face
-        are the AND of its vertices' rank-b windows (every rank-b face for the
-        empty face), so only the faces over it are ever visited."""
-        key = (a, b)
-        cached = self._below.get(key)
-        if cached is not None:
-            return cached
+        The lattice's one inclusion test: the window is the AND of the face's
+        vertices' rank-b windows (every rank-b face for the empty face), so
+        only the faces over it are ever visited."""
         windows = self._vertex_windows(b)
-        inside: list[list[int]] = [[] for _ in self._ranks[b + 1]]
-        for i, f in enumerate(self._ranks[a + 1]):
+        everything = (0, (1 << len(self._ranks[b + 1])) - 1)
+        out = []
+        for f in self._ranks[a + 1]:
             if not f:
-                for idxs in inside:
-                    idxs.append(i)
+                out.append(everything)
                 continue
             vertices = iter(f)
             first, bits = windows.get(next(vertices), (0, 0))
@@ -214,11 +222,20 @@ class FaceLattice:
                     first = start
                 else:
                     bits &= vbits >> (first - start)
-            while bits:  # peel the lowest set bit, face first + k - 1
-                k = (bits & -bits).bit_length()
-                inside[first + k - 1].append(i)
-                first += k
-                bits >>= k
+            out.append((first, bits))
+        return out
+
+    def _faces_below(self, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+        """For each rank-b face, the indices of the rank-a faces under it:
+        the windows of ``_above(a, b)`` scattered into sorted tuples."""
+        key = (a, b)
+        cached = self._below.get(key)
+        if cached is not None:
+            return cached
+        inside: list[list[int]] = [[] for _ in self._ranks[b + 1]]
+        for i, window in enumerate(self._above(a, b)):
+            for j in _members(*window):
+                inside[j].append(i)
         out = self._below[key] = tuple(map(tuple, inside))
         return out
 
@@ -227,38 +244,43 @@ class FaceLattice:
         S = tuple(sorted(set(S)))
         if S and not (0 <= S[0] and S[-1] < self.d):
             raise InvalidParams(f"rank set {S} outside 0..{self.d - 1}")
-        if self._flags is not None:
-            return self._flags.get(S)
-        if not S:
-            return 1
-        counts = [1] * len(self._ranks[S[0] + 1])
-        for a, b in zip(S, S[1:]):
-            below = self._faces_below(a, b)
-            counts = [sum(map(counts.__getitem__, idxs)) for idxs in below]
-        return sum(counts)
+        return self.flag_vector().get(S)
 
     def flag_vector(self) -> FlagVector:
-        """All 2^d flag numbers, by depth-first chain extension.
+        """All 2^d flag numbers, in one pass over the ranks.
 
-        Chain counts for an index set are built from the counts of its prefix,
-        so each subset costs one incidence sweep.
+        Each proper face x carries its chain counts packed into one int: the
+        chains of rank set S ending at x fill a W-bit field at offset
+        W * sum(2^s for s in S).  With acc[x] the sum of those ints over the
+        faces under x, they are (1 + acc[x]) << (W << rank(x)), and f_S is
+        field S of the sum over all x.  No f_S exceeds the product of the
+        nonzero face counts, so W = that product's bit length + 1 never lets
+        a field carry into the next.
         """
         if self._flags is not None:
             return self._flags
         d = self.d
-        entries: dict[tuple[int, ...], int] = {(): 1}
-
-        def extend(prefix: tuple[int, ...], counts: list[int]):
-            for r in range(prefix[-1] + 1, d):
-                below = self._faces_below(prefix[-1], r)
-                nxt = [sum(map(counts.__getitem__, idxs)) for idxs in below]
-                entries[prefix + (r,)] = sum(nxt)
-                extend(prefix + (r,), nxt)
-
-        for r0 in range(d):
-            seed = [1] * len(self._ranks[r0 + 1])
-            entries[(r0,)] = len(seed)
-            extend((r0,), seed)
+        sizes = [len(level) for level in self._ranks[1:d + 1]]
+        width = math.prod(max(n, 1) for n in sizes).bit_length() + 1
+        acc = [[0] * n for n in sizes]
+        total = 0
+        for a in range(d):
+            chains = [(1 + below) << (width << a) for below in acc[a]]
+            acc[a] = None  # freed before the next ranks' sums grow: lower peak
+            total += sum(chains)
+            for b in range(a + 1, d):
+                into = acc[b]
+                for count, (first, bits) in zip(chains, self._above(a, b)):
+                    while bits:  # peel the lowest set bit, face first + k - 1
+                        k = (bits & -bits).bit_length()
+                        first += k
+                        into[first - 1] += count
+                        bits >>= k
+        field = (1 << width) - 1
+        entries = {(): 1}
+        for S in sorted(itertools.chain.from_iterable(
+                itertools.combinations(range(d), k) for k in range(1, d + 1))):
+            entries[S] = total >> (width * sum(1 << s for s in S)) & field
         self._flags = FlagVector(d, entries)
         return self._flags
 
@@ -305,14 +327,10 @@ class FaceLattice:
 
     def dual(self) -> "FaceLattice":
         """Order-reversed lattice; vertices of the dual are the facets."""
-        faces = []
-        for r in range(-1, self.d + 1):
-            over: list[list[int]] = [[] for _ in self._ranks[r + 1]]
-            for j, inside in enumerate(self._faces_below(r, self.d - 1)):
-                for i in inside:
-                    over[i].append(j)
-            faces += [(self.d - 1 - r, facets) for facets in over]
-        return FaceLattice(self.d, faces)
+        return FaceLattice(self.d, [
+            (self.d - 1 - r, _members(*window))
+            for r in range(-1, self.d + 1)
+            for window in self._above(r, self.d - 1)])
 
     # ------------------------------------------------------------------
     # Eulerian test
@@ -320,34 +338,57 @@ class FaceLattice:
     def is_eulerian(self) -> bool:
         """Every interval of rank >= 1 balances even- and odd-rank elements.
 
-        Rank-1 intervals are balanced trivially, so only gaps >= 2 are tested;
-        the relative parity shift inside an interval is constant, which lets
-        global rank parity stand in for interval-local parity.
+        Only even rank gaps >= 2 are tested.  A gap-1 interval holds its two
+        ends alone, and an odd-gap interval whose proper subintervals are
+        Eulerian is Eulerian: mu(x, y) summed from below and from above gives
+        2 mu = -2 (Stanley, Enumerative Combinatorics I, ch. 3 exercises).
+        That uses only the stored ranks, so it holds on non-graded input too.
+        Faces z strictly between x and y are counted rank by rank, as the AND
+        of x's window of rank-c faces over it and y's window of rank-c faces
+        under it; both are stored from their first face on, so memory stays
+        linear on lattices whose windows are narrow.
         """
-        start = [0, *itertools.accumulate(map(len, self._ranks))]
-        n = start[-1]
-        up, down = [0] * n, [0] * n  # bitsets over the faces in rank order
-        for a in range(-1, self.d + 1):
-            for b in range(a + 1, self.d + 1):
-                for j, inside in enumerate(self._faces_below(a, b)):
-                    gj = start[b + 1] + j
-                    for i in inside:
-                        up[start[a + 1] + i] |= 1 << gj
-                        down[gj] |= 1 << (start[a + 1] + i)
-        flat_rank = [r for r in range(-1, self.d + 1)
-                     for _ in self._ranks[r + 1]]
-        even = sum(1 << j for j, r in enumerate(flat_rank) if r % 2 == 0)
-        for i in range(n):
-            m = up[i]
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                m ^= low
-                if flat_rank[j] - flat_rank[i] < 2:
-                    continue
-                inner = (up[i] & down[j]) | (1 << i) | (1 << j)
-                if 2 * (inner & even).bit_count() != inner.bit_count():
-                    return False
+        d = self.d
+        above = {(a, b): self._above(a, b)
+                 for a in range(-1, d + 1) for b in range(a + 1, d + 1)}
+        for b in range(1, d + 1):
+            # below[c][y]: the rank-c faces under rank-b face y as a window,
+            # filled in increasing c-index so that its first face comes first
+            below = {}
+            for c in range((b + 1) % 2, b):  # the ranks inside an even gap
+                firsts = [0] * len(self._ranks[b + 1])
+                masks = [0] * len(self._ranks[b + 1])
+                for z, (first, bits) in enumerate(above[c, b]):
+                    while bits:  # peel face y = first + k - 1 over face z
+                        k = (bits & -bits).bit_length()
+                        first += k
+                        bits >>= k
+                        if masks[first - 1]:
+                            masks[first - 1] |= 1 << (z - firsts[first - 1])
+                        else:
+                            firsts[first - 1], masks[first - 1] = z, 1
+                below[c] = list(zip(firsts, masks))
+            for a in range(b - 2, -2, -2):
+                # faces at odd distance from x count +1, at even distance -1;
+                # with the ends x and y the interval balances when the sum is 2
+                odd = [(above[a, c], below[c]) for c in range(a + 1, b, 2)]
+                even = [(above[a, c], below[c]) for c in range(a + 2, b, 2)]
+                for x, (first, bits) in enumerate(above[a, b]):
+                    while bits:  # peel face y = first + k - 1 over face x
+                        k = (bits & -bits).bit_length()
+                        first += k
+                        bits >>= k
+                        balance = 0
+                        for up, down in odd:
+                            (f1, m1), (f2, m2) = up[x], down[first - 1]
+                            balance += (m1 & m2 >> (f1 - f2) if f1 > f2
+                                        else m2 & m1 >> (f2 - f1)).bit_count()
+                        for up, down in even:
+                            (f1, m1), (f2, m2) = up[x], down[first - 1]
+                            balance -= (m1 & m2 >> (f1 - f2) if f1 > f2
+                                        else m2 & m1 >> (f2 - f1)).bit_count()
+                        if balance != 2:
+                            return False
         return True
 
     # ------------------------------------------------------------------
@@ -385,6 +426,17 @@ class FaceLattice:
                 f'face {k} must be {{"rank": integer, "vertices": [integer >= 0,'
                 f' ...]}}, got {json.dumps(face)}')
         return cls(d, out)
+
+
+def _members(first: int, bits: int) -> list[int]:
+    """The indices in a window: first + k for the set bits k of bits."""
+    out = []
+    while bits:  # peel the lowest set bit, index first + k - 1
+        k = (bits & -bits).bit_length()
+        first += k
+        out.append(first - 1)
+        bits >>= k
+    return out
 
 
 # ----------------------------------------------------------------------

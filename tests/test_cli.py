@@ -241,7 +241,11 @@ def test_a_huge_vertex_label_in_a_cache_file_is_read(tmp_path, capsys):
     assert out == run(capsys, "flags", "simplex", "-d", "0", "--no-meta")[1]
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
+@pytest.mark.parametrize("value", [
+    "abc", "0", "-3", "1.5", "",
+    # past the 4300 digits that int() converts by default
+    pytest.param("9" * 5000, id="5000-digits"),
+])
 def test_a_malformed_face_budget_is_refused_by_name(monkeypatch, capsys, value):
     monkeypatch.setenv("FLAGVEC_MAX_FACES", value)
     code, out, err = run(capsys, "generate", "cube", "-d", "3")

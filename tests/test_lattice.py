@@ -20,11 +20,14 @@ from flagvec import (
     dual,
     quotient,
 )
+from flagvec.flagalg import FlagVector
 from flagvec.lattice import MAX_FACES_ENV
 
 # the triangle whose top face also holds a vertex 3 that lies in no edge
 NON_GRADED = [(-1, []), (0, [0]), (0, [1]), (0, [2]), (0, [3]),
               (1, [0, 1]), (1, [1, 2]), (1, [0, 2]), (2, [0, 1, 2, 3])]
+# three points under a 2-face, with no edges: rank 1 is empty
+EMPTY_RANK = [(-1, []), (0, [0]), (0, [1]), (0, [2]), (2, [0, 1, 2])]
 
 
 def _mask(vertices) -> int:
@@ -43,6 +46,27 @@ def _faces_below_oracle(masks, a, b):
     testing every pair of faces of the two ranks."""
     return tuple(tuple(i for i, ma in enumerate(masks[a]) if ma & ~mb == 0)
                  for mb in masks[b])
+
+
+def _flag_vector_oracle(L, masks):
+    """Test oracle: all 2^d flag numbers by depth-first chain extension over
+    the all-pairs incidence, each index set's counts built from its prefix's."""
+    below = {}
+    entries = {(): 1}
+
+    def extend(prefix, counts):
+        for r in range(prefix[-1] + 1, L.d):
+            key = (prefix[-1], r)
+            if key not in below:
+                below[key] = _faces_below_oracle(masks, *key)
+            nxt = [sum(counts[i] for i in idxs) for idxs in below[key]]
+            entries[prefix + (r,)] = sum(nxt)
+            extend(prefix + (r,), nxt)
+
+    for r0 in range(L.d):
+        entries[(r0,)] = len(masks[r0])
+        extend((r0,), [1] * len(masks[r0]))
+    return FlagVector(L.d, entries)
 
 
 def _dual_faces_oracle(L, masks):
@@ -204,6 +228,25 @@ def test_dual_and_eulerian_match_the_oracles(small_corpus):
         assert L.is_eulerian() == _is_eulerian_oracle(masks), L
 
 
+def test_flag_vector_matches_the_all_pairs_chain_oracle(small_corpus):
+    # a field width from the product of the face counts, 0 on EMPTY_RANK,
+    # would be one bit wide and let its f_0 = 3 carry into f_1
+    empty_rank = FaceLattice(2, EMPTY_RANK)
+    assert empty_rank.flag_number((0,)) == 3
+    for L in [*_oracle_lattices(small_corpus), empty_rank]:
+        want = _flag_vector_oracle(L, _masks(L))
+        got = L.flag_vector()
+        assert got == want, L
+        assert list(got.entries) == list(want.entries), L
+
+
+def test_flag_vector_and_eulerian_test_read_no_index_tuples():
+    L = build_cube(4)
+    L.flag_vector()
+    L.is_eulerian()
+    assert L._below == {}
+
+
 def test_non_graded_lattice_keeps_inclusion_semantics():
     L = FaceLattice(2, NON_GRADED)
     assert not L.is_eulerian()
@@ -357,6 +400,21 @@ def test_flag_vector_memory_grows_linearly_on_polygons():
     assert peak(8000) <= 5 * peak(2000)
 
 
+def test_is_eulerian_memory_grows_linearly_on_polygons():
+    def peak(n):
+        L = build_polygon(n)
+        tracemalloc.start()
+        try:
+            assert L.is_eulerian()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # linear growth gives about 4x for 4x the vertices; up and down bitsets
+    # over all faces, as wide as the lattice, give about 12x
+    assert peak(8000) <= 5 * peak(2000)
+
+
 def test_restriction_gives_face_as_polytope():
     cube = build_cube(3)
     square = next(f for f in cube.faces(2))
@@ -426,6 +484,25 @@ def test_broken_lattice_is_not_eulerian():
              (1, [0, 1, 2]), (1, [3, 4, 5]), (1, [0, 3]), (1, [1, 4]),
              (1, [2, 5]), (2, range(6))]
     assert not FaceLattice(2, faces).is_eulerian()
+    # a segment with three end points: its one interval of gap >= 2 is
+    # [empty, top], of even gap, so the odd gaps alone would pass it
+    faces = [(-1, []), (0, [0]), (0, [1]), (0, [2]), (1, [0, 1, 2])]
+    assert not FaceLattice(1, faces).is_eulerian()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_eulerian_test_on_single_face_deletions_matches_the_oracle(seed):
+    # the oracle tests every rank gap >= 2, is_eulerian only the even ones
+    rng = random.Random(seed)
+    for L in (build_cube(4), build_crosspolytope(4), build_cyclic(5, 8),
+              build_simplex(5)):
+        faces = list(L.all_faces())
+        # a vertex, the empty face or the top cannot go alone
+        proper = [f for r, f in faces if 0 < r < L.d]
+        for removed in rng.sample(proper, 8):
+            broken = FaceLattice(L.d, [(r, f) for r, f in faces if f != removed])
+            assert broken.is_eulerian() == _is_eulerian_oracle(_masks(broken)), (
+                L, sorted(removed))
 
 
 def test_json_round_trip(c58):
