@@ -1,5 +1,5 @@
 """ab-index and cd-index over an exact coefficient ring, plus the toric
-g-recursion on face lattices.
+g-vector of a face lattice, read from the lattice's toric h-vector.
 
 The ab-index collects the flag quantities k_S = sum_{T subset S} (-1)^{|S\\T|} f_T
 as coefficients of words in the noncommuting letters a, b (letter b at the
@@ -15,7 +15,6 @@ coefficients, that is, the numeric and the symbolic extraction.
 import itertools
 import re
 from functools import lru_cache
-from math import comb
 
 from .errors import DegreeMismatch, InvalidParams, MissingEntry, NotEulerian
 from .flagalg import FlagVector
@@ -125,7 +124,7 @@ class CdPolynomial:
         terms: dict[str, object] = {}
         degree = None
         for sign, coeff_text, word_text in _parse_terms(text):
-            word = _expand_pretty(word_text)
+            word = "".join(letter * n for letter, n in _pretty_runs(word_text))
             coeff = rat_from_str(coeff_text) if coeff_text else 1
             coeff = -coeff if sign == "-" else coeff
             if degree is None:
@@ -154,13 +153,12 @@ def _pretty_word(word: str) -> str:
     return "".join(out)
 
 
-def _expand_pretty(text: str) -> str:
+def _pretty_runs(text: str) -> list[tuple[str, int]]:
+    """The (letter, count) runs of a cd-word written as c^2d, c2d or ccd."""
     if not re.fullmatch(r"(?:[cd](?:\^?\d+)?\s*)*", text):
         raise InvalidParams(f"cannot parse cd-word {text!r}")
-    out = []
-    for m in re.finditer(r"([cd])(?:\^?(\d+))?", text):
-        out.append(m.group(1) * int(m.group(2) or 1))
-    return "".join(out)
+    return [(m.group(1), int(m.group(2) or 1))
+            for m in re.finditer(r"([cd])(?:\^?(\d+))?", text)]
 
 
 def _parse_terms(text: str):
@@ -309,7 +307,7 @@ def stanley_nonneg_check(lattice) -> bool:
 
 
 # ----------------------------------------------------------------------
-# toric h/g recursion
+# toric h and g
 
 
 class ToricGVector:
@@ -339,78 +337,13 @@ class ToricGVector:
         return f"ToricGVector(d={self.d}, {self.entries})"
 
 
-def _poly_add_scaled(acc: list, poly, shift_pow: list):
-    # acc += poly * shift_pow, all ascending coefficient lists
-    for i, a in enumerate(poly):
-        if a == 0:
-            continue
-        for j, b in enumerate(shift_pow):
-            acc[i + j] += a * b
-
-
-@lru_cache(maxsize=None)
-def _x_minus_one_pow(m: int) -> tuple[int, ...]:
-    return tuple((-1) ** (m - i) * comb(m, i) for i in range(m + 1))
-
-
-def _face_g(lattice, rank: int, idx: int) -> tuple[int, ...]:
-    """g-polynomial (ascending coefficients) of one face, memoized per face."""
-    if rank == -1:
-        return (1,)
-    memo = lattice._toric_g_memo
-    key = (rank, idx)
-    if key in memo:
-        return memo[key]
-    face = lattice.faces(rank)[idx]
-    if len(face) == rank + 1:
-        # a k-face with k+1 vertices is a simplex: g is constant 1
-        memo[key] = (1,)
-        return memo[key]
-    h = _face_h(lattice, rank, idx)
-    g = _g_from_h(h, rank)
-    memo[key] = g
-    return g
-
-
-def _face_h(lattice, rank: int, idx: int) -> tuple[int, ...]:
-    """h-polynomial of the sub-polytope below one face, as the sum of
-    g(subface) * (x-1)^(rank - 1 - subrank) over all proper subfaces."""
-    acc = [0] * (rank + 1)
-    _poly_add_scaled(acc, (1,), list(_x_minus_one_pow(rank)))  # empty face
-    for a in range(0, rank):
-        shift = list(_x_minus_one_pow(rank - 1 - a))
-        for i in lattice._faces_below(a, rank)[idx]:
-            _poly_add_scaled(acc, _face_g(lattice, a, i), shift)
-    return tuple(acc)
-
-
-def _g_from_h(h: tuple[int, ...], dim: int) -> tuple[int, ...]:
-    # h list is ascending in x; h_i counts from the top power: h_i = h[dim - i]
-    hv = [h[dim - i] for i in range(dim + 1)]
-    g = []
-    prev = 0
-    for i in range(dim // 2 + 1):
-        g.append(hv[i] - prev)
-        prev = hv[i]
-    while len(g) > 1 and g[-1] == 0:
-        g.pop()
-    return tuple(g)
-
-
 def toric_h(lattice) -> tuple[int, ...]:
     """Toric h-vector (h_0, ..., h_d); palindromic on Eulerian lattices."""
-    d = lattice.d
-    h = _face_h(lattice, d, 0)
-    return tuple(h[d - i] for i in range(d + 1))
+    return lattice.toric_h()
 
 
 def toric_g(lattice) -> ToricGVector:
-    """Toric g-vector by the h/g recursion over the face lattice."""
-    d = lattice.d
-    hv = toric_h(lattice)
-    entries = []
-    prev = 0
-    for i in range(d // 2 + 1):
-        entries.append(hv[i] - prev)
-        prev = hv[i]
-    return ToricGVector(d, entries)
+    """Toric g-vector: g_i = h_i - h_(i-1) for i <= d / 2."""
+    h = toric_h(lattice)
+    return ToricGVector(lattice.d, [
+        p - q for p, q in zip(h[:lattice.d // 2 + 1], (0, *h))])

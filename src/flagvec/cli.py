@@ -14,10 +14,11 @@ from fractions import Fraction
 from . import __version__
 from . import cdindex as cdx
 from . import families, flagalg, forms, lattice, verify
-from .errors import FlagVecError, InvalidParams, NotEulerian
+from .errors import DegreeMismatch, FlagVecError, InvalidParams, NotEulerian
 from .rational import approx_str, is_json_int, rat_to_str
 
 FAMILIES = ("simplex", "cube", "crosspolytope", "cyclic", "polygon", "p7n")
+MAX_SCAN_VALUES = 10**5
 
 
 def _meta(args) -> dict:
@@ -169,9 +170,10 @@ def cmd_flags(args) -> int:
 
 def cmd_cdindex(args) -> int:
     L = _build_family(args.family, args.d, args.n, args.cache_dir)
+    word = args.coeff and _normalize_word(args.coeff, L.d)
     v = L.flag_vector()
-    if args.coeff:
-        value = rat_to_str(cdx.cd_coefficient(v, _normalize_word(args.coeff)))
+    if word:
+        value = rat_to_str(cdx.cd_coefficient(v, word))
         if args.format == "csv":
             print("word,value")
             print(f"{args.coeff},{value}")
@@ -189,10 +191,15 @@ def cmd_cdindex(args) -> int:
     return 0
 
 
-def _normalize_word(text: str) -> str:
-    word = cdx._expand_pretty(text)
-    _need(bool(word), f"empty cd-word {text!r}")
-    return word
+def _normalize_word(text: str, d: int) -> str:
+    """The cd-word ``text`` spelled out, once its degree, read from the
+    exponents, is known to be d."""
+    runs = cdx._pretty_runs(text)
+    degree = sum(count if letter == "c" else 2 * count for letter, count in runs)
+    _need(degree > 0, f"empty cd-word {text!r}")
+    if degree != d:
+        raise DegreeMismatch(f"{text!r} has degree {degree}, need {d}")
+    return "".join(letter * count for letter, count in runs)
 
 
 def _parse_form(text: str) -> forms.FlagForm:
@@ -246,9 +253,12 @@ def cmd_candidates(args) -> int:
 def _parse_range(text: str) -> tuple[int, int]:
     try:
         a, b = text.split("..", 1)
-        return int(a), int(b)
+        lo, hi = int(a), int(b)
     except ValueError:
         raise InvalidParams(f"range must look like 8..20, got {text!r}") from None
+    _need(hi - lo < MAX_SCAN_VALUES, f"range {text} holds {hi - lo + 1} values,"
+          f" more than the {MAX_SCAN_VALUES} a scan may take")
+    return lo, hi
 
 
 def cmd_scan(args) -> int:

@@ -4,27 +4,28 @@ Each face is stored once, as a frozenset of vertex labels with an explicit
 rank (rank = dimension, so vertices have rank 0, the empty face rank -1, the
 whole polytope rank d); the order relation is set inclusion.  Vertex labels
 may be any nonnegative ints, and a large label costs no more than a small one.
-Flag vectors, duals, quotients and the Eulerian test are all read from one
-exact inclusion incidence, ``_above``: per rank, each vertex has a bitset of
-the faces of that rank holding it, and the faces over a face are the AND of
-its vertices' bitsets.  Every bitset is a window ``(first, bits)`` stored from
-its first face on, so a face with few faces over it costs few bits however
-many faces the lattice has.  ``flag_vector`` adds each face's chain counts,
-packed into one int, into the faces of its windows, rank by rank;
+Everything here reads one exact inclusion incidence, ``_above``: per rank,
+each vertex has a bitset of the faces of that rank holding it, and the faces
+over a face are the AND of its vertices' bitsets.  Every bitset is a window
+``(first, bits)`` stored from its first face on, so a face with few faces over
+it costs few bits however many faces the lattice has.  ``flag_vector`` adds
+each face's chain counts, packed into one int, into the faces of its windows,
+rank by rank, and ``toric_h`` pushes each face's g-polynomial the same way;
 ``is_eulerian`` ANDs windows over and under the two ends of each interval of
-even rank gap; ``dual`` reads each face's window of facets.  Only the toric
-g recursion, ``interval`` and the construction check scatter windows into
-index tuples (``_faces_below``).  This enumeration makes the module the ground
-truth every closed form is tested against.
+even rank gap; ``dual`` reads each face's window of facets, ``interval`` the
+windows of its lower end.  This enumeration makes the module the ground truth
+every closed form is tested against.
 
 All counts are Python ints, so nothing overflows; lattices are immutable after
 construction and the internal caches are only ever filled, never invalidated,
 so concurrent readers are safe.
 """
 
+import functools
 import itertools
 import json
 import math
+import operator
 import os
 
 from .errors import DeskScaleExceeded, FaceNotInLattice, InvalidParams
@@ -109,9 +110,8 @@ class FaceLattice:
         # per rank, each vertex -> (first, bits): the faces of that rank
         # holding it are first + k for the set bits k of bits
         self._windows: list[dict[int, tuple[int, int]] | None] = [None] * (d + 2)
-        self._below: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         self._flags: FlagVector | None = None
-        self._toric_g_memo: dict[tuple[int, int], tuple] = {}
+        self._toric_h: tuple[int, ...] | None = None
         self._check_strict_inclusions()
 
     def _check_strict_inclusions(self):
@@ -127,13 +127,15 @@ class FaceLattice:
             for b in range(a + 1):
                 if largest[b + 1] <= smallest[a + 1]:
                     continue
-                for j, inside in enumerate(self._faces_below(a, b)):
-                    for i in inside:
-                        if a != b or i != j:
-                            raise InvalidParams(
-                                f"face {sorted(self._ranks[a + 1][i])} of rank"
-                                f" {a} lies strictly inside face"
-                                f" {sorted(self._ranks[b + 1][j])} of rank {b}")
+                for i, (first, bits) in enumerate(self._above(a, b)):
+                    if a == b:
+                        bits ^= 1 << (i - first)  # a face lies in itself
+                    if bits:
+                        j = first + (bits & -bits).bit_length() - 1
+                        raise InvalidParams(
+                            f"face {sorted(self._ranks[a + 1][i])} of rank"
+                            f" {a} lies strictly inside face"
+                            f" {sorted(self._ranks[b + 1][j])} of rank {b}")
 
     # ------------------------------------------------------------------
     # basic queries
@@ -197,9 +199,10 @@ class FaceLattice:
                 for v, js in holding.items()}
         return windows
 
-    def _above(self, a: int, b: int) -> list[tuple[int, int]]:
-        """For each rank-a face, the rank-b faces over it as a window
-        ``(first, bits)``: faces first + k for the set bits k of bits.
+    def _above(self, a: int, b: int, faces=None) -> list[tuple[int, int]]:
+        """For each rank-a face, or each of ``faces`` if given, the rank-b
+        faces over it as a window ``(first, bits)``: faces first + k for the
+        set bits k of bits.
 
         The lattice's one inclusion test: the window is the AND of the face's
         vertices' rank-b windows (every rank-b face for the empty face), so
@@ -207,7 +210,7 @@ class FaceLattice:
         windows = self._vertex_windows(b)
         everything = (0, (1 << len(self._ranks[b + 1])) - 1)
         out = []
-        for f in self._ranks[a + 1]:
+        for f in self._ranks[a + 1] if faces is None else faces:
             if not f:
                 out.append(everything)
                 continue
@@ -223,20 +226,6 @@ class FaceLattice:
                 else:
                     bits &= vbits >> (first - start)
             out.append((first, bits))
-        return out
-
-    def _faces_below(self, a: int, b: int) -> tuple[tuple[int, ...], ...]:
-        """For each rank-b face, the indices of the rank-a faces under it:
-        the windows of ``_above(a, b)`` scattered into sorted tuples."""
-        key = (a, b)
-        cached = self._below.get(key)
-        if cached is not None:
-            return cached
-        inside: list[list[int]] = [[] for _ in self._ranks[b + 1]]
-        for i, window in enumerate(self._above(a, b)):
-            for j in _members(*window):
-                inside[j].append(i)
-        out = self._below[key] = tuple(map(tuple, inside))
         return out
 
     def flag_number(self, S) -> int:
@@ -284,6 +273,49 @@ class FaceLattice:
         self._flags = FlagVector(d, entries)
         return self._flags
 
+    def toric_h(self) -> tuple[int, ...]:
+        """Toric h-vector (h_0, ..., h_d), in one pass over the ranks.
+
+        The h-polynomial of a rank-r face is the sum of g(G) (x - 1)^(r - 1 -
+        rank G) over its proper faces G, and its g-polynomial has g_i = h_i -
+        h_(i-1) for i <= r / 2, h_i being the coefficient of x^(r - i).  Rank
+        by rank, each face's g is read from its finished h and pushed into
+        the faces over it.  A rank-r face with r + 1 vertices is a simplex,
+        whose g is 1, so only the other faces and the top collect an h.
+        """
+        if self._toric_h is not None:
+            return self._toric_h
+        d = self.d
+        # per rank, the faces collecting an h, as a bitset over face indices;
+        # _ranks[n] holds the faces of rank n - 1, simplices if of n vertices,
+        # and h[n][y] lists h_0, ..., h_(n-1) of face y there
+        targets = [sum(1 << j for j, f in enumerate(level) if len(f) != n)
+                   for n, level in enumerate(self._ranks)]
+        targets[d + 1] = 1
+        h = [{y: [0] * n for y in _members(0, mask)}
+             for n, mask in enumerate(targets)]
+        for a in range(-1, d):
+            gs = [(1,) if hx is None else
+                  tuple(p - q for p, q in zip(hx[:a // 2 + 1], [0, *hx]))
+                  for hx in map(h[a + 1].get, range(len(self._ranks[a + 1])))]
+            for b in range(a + 1, d + 1):
+                into, mask = h[b + 1], targets[b + 1]
+                if not mask:
+                    continue
+                shift = _x_minus_one_pow(b - 1 - a)
+                pushes = {}  # g -> g (x - 1)^(b - 1 - a), from x^b down
+                for g, (first, bits) in zip(gs, self._above(a, b)):
+                    over = _members(first, bits & mask >> first)
+                    if over and g not in pushes:
+                        push = pushes[g] = [0] * (b + 1)
+                        for i, gi in enumerate(g):
+                            for j, c in enumerate(shift):
+                                push[b - i - j] += gi * c
+                    for y in over:
+                        into[y] = list(map(operator.add, into[y], pushes[g]))
+        self._toric_h = tuple(h[d + 1][0])
+        return self._toric_h
+
     # ------------------------------------------------------------------
     # derived lattices
 
@@ -293,22 +325,32 @@ class FaceLattice:
         Its vertices are the faces covering ``lower`` inside the interval;
         dimension is rank(upper) - rank(lower) - 1.
         """
-        rl, il = self._locate(lower)
-        ru, iu = self._locate(upper)
-        if not (rl < ru and il in self._faces_below(rl, ru)[iu]):
+        lower, upper = frozenset(lower), frozenset(upper)
+        rl, ru = self.rank(lower), self.rank(upper)
+        if not (rl < ru and lower <= upper):
             raise InvalidParams("interval requires lower < upper")
-        members = [(r, j) for r in range(rl, ru + 1)
-                   for j in self._faces_below(r, ru)[iu]
-                   if il in self._faces_below(rl, r)[j]]
+        members = []  # (rank, face) for the faces over lower inside upper
+        for r in range(rl, ru + 1):
+            level = self._ranks[r + 1]
+            members += [(r, level[j]) for j in _members(*self._above(rl, r, [lower])[0])
+                        if level[j] <= upper]
         # the interval's vertices are its atoms, numbered in the order of
-        # their vertex labels read from the largest down
-        level = self._ranks[rl + 2]
-        atoms = sorted((j for r, j in members if r == rl + 1),
-                       key=lambda j: sorted(level[j], reverse=True))
-        vertex_of = {j: k for k, j in enumerate(atoms)}
-        faces = [(r - rl - 1,
-                  [vertex_of[i] for i in self._faces_below(rl + 1, r)[j]
-                   if i in vertex_of]) for r, j in members]
+        # their vertex labels read from the largest down; an atom lies in a
+        # member when the member holds all of its vertices beyond lower
+        atoms = sorted((f - lower for r, f in members if r == rl + 1),
+                       key=lambda extra: sorted(extra, reverse=True))
+        atoms_of: dict[int, list[int]] = {}
+        for k, extra in enumerate(atoms):
+            for v in extra:
+                atoms_of.setdefault(v, []).append(k)
+        faces = []
+        for r, f in members:
+            held: dict[int, int] = {}  # atom -> how many of its vertices f holds
+            for v in f:
+                for k in atoms_of.get(v, ()):
+                    held[k] = held.get(k, 0) + 1
+            faces.append((r - rl - 1, [k for k, n in held.items()
+                                       if n == len(atoms[k])]))
         return FaceLattice(ru - rl - 1, faces)
 
     def quotient(self, face) -> "FaceLattice":
@@ -426,6 +468,12 @@ class FaceLattice:
                 f'face {k} must be {{"rank": integer, "vertices": [integer >= 0,'
                 f' ...]}}, got {json.dumps(face)}')
         return cls(d, out)
+
+
+@functools.cache
+def _x_minus_one_pow(m: int) -> tuple[int, ...]:
+    """The coefficients of (x - 1)^m, lowest power first."""
+    return tuple((-1) ** (m - i) * math.comb(m, i) for i in range(m + 1))
 
 
 def _members(first: int, bits: int) -> list[int]:

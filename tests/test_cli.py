@@ -1,8 +1,12 @@
 import json
+import pathlib
 
 import pytest
 
 from flagvec.cli import main
+
+# verify-paper --no-meta --seed 7, as text and as JSON
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -104,6 +108,16 @@ def test_cdindex_command(capsys):
     assert json.loads(out)["cd"] == "c^3 + 2dc + 2cd"
 
 
+def test_cdindex_coefficient_degree_is_read_from_the_exponents(capsys):
+    # spelling the word out first took seconds and printed it back whole
+    code, out, err = run(capsys, "cdindex", "simplex", "-d", "3",
+                         "--coeff", "c^10000000")
+    assert code == 2 and out == ""
+    assert err == "error: 'c^10000000' has degree 10000000, need 3\n"
+    code, out, err = run(capsys, "cdindex", "simplex", "-d", "3", "--coeff", "c0")
+    assert code == 2 and err == "error: empty cd-word 'c0'\n"
+
+
 def test_cdindex_single_coefficient(capsys):
     code, out, _ = run(capsys, "cdindex", "cyclic", "-d", "6", "-n", "10",
                        "--coeff", "c2dc2", "--no-meta")
@@ -185,11 +199,18 @@ def test_scan_range_errors(capsys):
     assert code == 2 and "error" in err
     code, _, _ = run(capsys, "scan", "logconv7", "--n", "oops")
     assert code == 2
+    # one value more than a scan may take is refused before any row is built
+    code, out, err = run(capsys, "scan", "logconv7", "--n", "8..100008")
+    assert code == 2 and out == ""
+    assert err == ("error: range 8..100008 holds 100001 values,"
+                   " more than the 100000 a scan may take\n")
 
 
 def test_verify_paper_json_passes(capsys):
-    code, out, _ = run(capsys, "verify-paper", "--format", "json", "--no-meta")
+    code, out, _ = run(capsys, "verify-paper", "--format", "json", "--no-meta",
+                       "--seed", "7")
     assert code == 0
+    assert out == (GOLDEN / "verify_paper_seed7.json").read_text(encoding="utf-8")
     doc = json.loads(out)
     assert doc["passed"] is True
     names = {c["name"] for c in doc["checks"]}

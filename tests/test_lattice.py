@@ -19,9 +19,10 @@ from flagvec import (
     build_simplex,
     dual,
     quotient,
+    toric_g,
 )
 from flagvec.flagalg import FlagVector
-from flagvec.lattice import MAX_FACES_ENV
+from flagvec.lattice import MAX_FACES_ENV, _members
 
 # the triangle whose top face also holds a vertex 3 that lies in no edge
 NON_GRADED = [(-1, []), (0, [0]), (0, [1]), (0, [2]), (0, [3]),
@@ -44,7 +45,7 @@ def _masks(L):
 def _faces_below_oracle(masks, a, b):
     """Test oracle: for each rank-b face, the rank-a faces inside it, by
     testing every pair of faces of the two ranks."""
-    return tuple(tuple(i for i, ma in enumerate(masks[a]) if ma & ~mb == 0)
+    return tuple(tuple(i for i, ma in enumerate(masks[a]) if ma | mb == mb)
                  for mb in masks[b])
 
 
@@ -91,6 +92,42 @@ def _is_eulerian_oracle(masks):
                 if 2 * (inner & even).bit_count() != inner.bit_count():
                     return False
     return True
+
+
+def _toric_h_oracle(L, masks):
+    """Test oracle: the toric h-vector by the pull recursion over the
+    all-pairs incidence.  A rank-b face's h-polynomial is the sum of g(G)
+    (x - 1)^(b - 1 - rank G) over its proper faces G, each g memoized per face
+    and read from that face's own h; a rank-a face with a + 1 vertices is a
+    simplex, with g = 1."""
+    below, g_memo = {}, {}
+
+    def face_h(b, j):
+        h = [0] * (b + 1)  # h[i] is the coefficient of x^(b - i)
+        for a in range(-1, b):
+            if (a, b) not in below:
+                below[a, b] = _faces_below_oracle(masks, a, b)
+            g = [0] * (a // 2 + 2)  # the sum of g over the rank-a faces under j
+            for i in below[a, b][j]:
+                for p, gp in enumerate(face_g(a, i)):
+                    g[p] += gp
+            m = b - 1 - a
+            for p, gp in enumerate(g):
+                for q in range(m + 1):
+                    h[b - p - q] += gp * (-1) ** (m - q) * comb(m, q)
+        return h
+
+    def face_g(a, i):
+        if (a, i) not in g_memo:
+            if masks[a][i].bit_count() == a + 1:
+                g_memo[a, i] = [1]
+            else:
+                h = face_h(a, i)
+                g_memo[a, i] = [h[k] - (h[k - 1] if k else 0)
+                                for k in range(a // 2 + 1)]
+        return g_memo[a, i]
+
+    return tuple(face_h(L.d, 0))
 
 
 def _cube_oracle(d):
@@ -206,13 +243,20 @@ def test_a_strict_inclusion_must_raise_the_rank():
         FaceLattice(3, faces)
 
 
+def _over_each(L, a, b):
+    """The rank-b faces over each rank-a face, read from ``_above``."""
+    return [_members(*window) for window in L._above(a, b)]
+
+
 def test_incidence_matches_the_all_pairs_oracle(small_corpus):
     for L in _oracle_lattices(small_corpus):
         masks = _masks(L)
         for a in masks:
             for b in masks:
-                assert L._faces_below(a, b) == _faces_below_oracle(masks, a, b), (
-                    L, a, b)
+                inside = _faces_below_oracle(masks, a, b)
+                want = [[j for j, below in enumerate(inside) if i in below]
+                        for i in range(len(masks[a]))]
+                assert _over_each(L, a, b) == want, (L, a, b)
 
 
 def test_dual_and_eulerian_match_the_oracles(small_corpus):
@@ -240,17 +284,22 @@ def test_flag_vector_matches_the_all_pairs_chain_oracle(small_corpus):
         assert list(got.entries) == list(want.entries), L
 
 
-def test_flag_vector_and_eulerian_test_read_no_index_tuples():
-    L = build_cube(4)
-    L.flag_vector()
-    L.is_eulerian()
-    assert L._below == {}
+def test_toric_h_and_g_match_the_pull_recursion_oracle(small_corpus):
+    oracle = _oracle_lattices(small_corpus)
+    # NON_GRADED, the last of them, and EMPTY_RANK have no dual: faces under
+    # no facet would put the empty vertex set at two ranks of it
+    for L in [*oracle, FaceLattice(2, EMPTY_RANK), *(L.dual() for L in oracle[:-1]),
+              build_cube(8), build_crosspolytope(8), build_cyclic(8, 14)]:
+        want = _toric_h_oracle(L, _masks(L))
+        assert L.toric_h() == want, L
+        assert tuple(toric_g(L)) == tuple(
+            want[i] - (want[i - 1] if i else 0) for i in range(L.d // 2 + 1)), L
 
 
 def test_non_graded_lattice_keeps_inclusion_semantics():
     L = FaceLattice(2, NON_GRADED)
     assert not L.is_eulerian()
-    assert L._faces_below(0, 2) == ((0, 1, 2, 3),)
+    assert _over_each(L, 0, 2) == [[0]] * 4  # vertex 3 lies in the top alone
     assert L.flag_number((0, 1)) == 6
 
 
@@ -258,10 +307,11 @@ def test_polygon_windows_wrap_around():
     L = build_polygon(9)
     edges = [sorted(e) for e in L.faces(1)]
     assert edges.index([0, 8]) == 1 and edges.index([7, 8]) == 8
-    assert L._faces_below(0, 1)[1] == (0, 8)
+    edges_over = _over_each(L, 0, 1)
+    assert [i for i, over in enumerate(edges_over) if 1 in over] == [0, 8]
     # vertex 8's window starts at edge 1, and bit k stands for edge 1 + k
     assert L._vertex_windows(1)[8] == (1, 1 << 0 | 1 << 7)
-    assert [j for j, inside in enumerate(L._faces_below(0, 1)) if 8 in inside] == [1, 8]
+    assert edges_over[8] == [1, 8]
 
 
 def test_cube_builder_matches_the_coordinate_loop_oracle():
@@ -372,6 +422,15 @@ def test_interval_atoms_are_numbered_in_mask_order(seed):
             assert L.quotient(f).to_json() == _interval_oracle(L, f, L.top()).to_json()
         if r > -1:
             assert L.restriction(f).to_json() == _interval_oracle(L, (), f).to_json()
+
+
+def test_interval_counts_an_atom_only_where_all_of_it_lies():
+    # not a polytope: over the vertex 0, the face {0, 1, 3, 4} holds the atom
+    # {0, 1, 2} in part, so meeting an atom is not lying over it
+    faces = [(-1, []), *((0, [v]) for v in range(5)), (1, [0, 1, 2]), (1, [0, 3]),
+             (1, [0, 4]), (2, [0, 1, 3, 4]), (3, range(5))]
+    L = FaceLattice(3, faces)
+    assert L.quotient([0]).to_json() == _interval_oracle(L, [0], L.top()).to_json()
 
 
 def test_huge_vertex_labels_behave_like_small_ones():
