@@ -81,8 +81,7 @@ from .families import (
     candidate_6d,
     candidate_7d,
     connected_sum_f,
-    cyclic_f5,
-    cyclic_f7,
+    cyclic_f,
     logconv_scan,
     neighborly_gap,
     p7n,

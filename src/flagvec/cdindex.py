@@ -1,5 +1,5 @@
-"""ab-index and cd-index over an exact coefficient ring, plus the toric
-g-vector of a face lattice, read from the lattice's toric h-vector.
+"""ab-index and cd-index over an exact coefficient ring, plus the toric h-
+and g-vectors; all of them are read from a flag vector.
 
 The ab-index collects the flag quantities k_S = sum_{T subset S} (-1)^{|S\\T|} f_T
 as coefficients of words in the noncommuting letters a, b (letter b at the
@@ -10,6 +10,10 @@ their difference fixes B, and A follows.  Every ab-word equation is checked
 on the way, so inconsistency is detected rather than assumed away.  Only +
 and - are used, so the same recursion serves rational and flag-form
 coefficients, that is, the numeric and the symbolic extraction.
+
+Stanley's toric h-vector is a fixed linear form on the flag vector as well:
+its recursion reads only ranks, so toric h sums f_S times one weight vector
+per rank set S, computed once per dimension.
 """
 
 import itertools
@@ -157,8 +161,12 @@ def _pretty_runs(text: str) -> list[tuple[str, int]]:
     """The (letter, count) runs of a cd-word written as c^2d, c2d or ccd."""
     if not re.fullmatch(r"(?:[cd](?:\^?\d+)?\s*)*", text):
         raise InvalidParams(f"cannot parse cd-word {text!r}")
-    return [(m.group(1), int(m.group(2) or 1))
-            for m in re.finditer(r"([cd])(?:\^?(\d+))?", text)]
+    try:
+        return [(m.group(1), int(m.group(2) or 1))
+                for m in re.finditer(r"([cd])(?:\^?(\d+))?", text)]
+    except ValueError:  # an exponent of more digits than int() may convert
+        raise InvalidParams(
+            f"cd-word {text[:20]!r}... has an exponent too long to read") from None
 
 
 def _parse_terms(text: str):
@@ -337,13 +345,54 @@ class ToricGVector:
         return f"ToricGVector(d={self.d}, {self.entries})"
 
 
-def toric_h(lattice) -> tuple[int, ...]:
-    """Toric h-vector (h_0, ..., h_d); palindromic on Eulerian lattices."""
-    return lattice.toric_h()
+def _h_vector(g, m: int, r: int) -> tuple[int, ...]:
+    """(h_0, ..., h_r) of g (x - 1)^m, g lowest power first and h_i the
+    coefficient of x^(r - i)."""
+    p = [*g, *[0] * (r + 1 - len(g))]
+    for _ in range(m):
+        p = [lo - hi for lo, hi in zip([0, *p], p)]  # p (x - 1)
+    return tuple(reversed(p))
 
 
-def toric_g(lattice) -> ToricGVector:
-    """Toric g-vector: g_i = h_i - h_(i-1) for i <= d / 2."""
-    h = toric_h(lattice)
-    return ToricGVector(lattice.d, [
-        p - q for p, q in zip(h[:lattice.d // 2 + 1], (0, *h))])
+@lru_cache(maxsize=None)
+def _toric_weights(d: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per rank set S, the toric h-vector that one chain of rank set S adds.
+
+    A rank-b face's h-polynomial is the sum of g(G) (x - 1)^(b - 1 - rank G)
+    over its proper faces G, the empty face having g = 1, and a face's g keeps
+    g_i = h_i - h_(i-1) of its own h for i <= rank / 2.  Unrolled, the top's h
+    is one term per chain of proper faces: g = 1 carried from the empty face
+    up the chain through both linear steps at each face, so it depends on the
+    chain's rank set alone (Bayer and Ehrenborg 2000).
+    """
+    weights = {}
+
+    def extend(S, a, g):  # g: the g-polynomial at the chain's last face, rank a
+        weights[S] = _h_vector(g, d - 1 - a, d)
+        for b in range(a + 1, d):
+            h = _h_vector(g, b - 1 - a, b)
+            extend((*S, b), b, [p - q for p, q in zip(h[:b // 2 + 1], (0, *h))])
+
+    extend((), -1, [1])
+    return tuple(weights.items())
+
+
+def toric_h(source) -> tuple[int, ...]:
+    """Toric h-vector (h_0, ..., h_d) of a lattice or complete flag vector,
+    as the sum of f_S times the weight of S; palindromic on Eulerian
+    lattices."""
+    v = _as_flag_vector(source)
+    h = [0] * (v.d + 1)
+    for S, weight in _toric_weights(v.d):
+        f = v.get(S)
+        for i, w in enumerate(weight):
+            h[i] += f * w
+    return tuple(normalize(x) for x in h)
+
+
+def toric_g(source) -> ToricGVector:
+    """Toric g-vector of a lattice or complete flag vector: g_i = h_i -
+    h_(i-1) for i <= d / 2."""
+    h = toric_h(source)
+    return ToricGVector(source.d, [
+        p - q for p, q in zip(h[:source.d // 2 + 1], (0, *h))])

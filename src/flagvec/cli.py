@@ -277,7 +277,7 @@ def cmd_scan(args) -> int:
         _need(lo >= 6 and lo <= hi, f"cyclic 5-polytopes need 6 <= n_min <= n_max, got {args.n}")
         rows = []
         for n in range(lo, hi + 1):
-            f = families.cyclic_f5(n)
+            f = families.cyclic_f(5, n)
             gap = f[1] - Fraction(f[0] + f[2], 2)
             rows.append({
                 "n": n,

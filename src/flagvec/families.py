@@ -12,6 +12,7 @@ Each one implies the next on positive integer vectors.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .errors import DimensionMismatch, InvalidParams
 from .flagalg import FVector
@@ -24,33 +25,17 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def cyclic_f5(n: int) -> FVector:
-    """f-vector of the cyclic 5-polytope on n vertices:
-    (n, n(n-1)/2, 2(n^2-6n+10), 5(n-3)(n-4)/2, (n-3)(n-4))."""
-    if n < 6:
-        raise InvalidParams(f"cyclic 5-polytope needs n >= 6, got {n}")
-    return FVector((
-        n,
-        _exact_div(n * (n - 1), 2),
-        2 * (n * n - 6 * n + 10),
-        _exact_div(5 * (n - 3) * (n - 4), 2),
-        (n - 3) * (n - 4),
-    ))
-
-
-def cyclic_f7(n: int) -> FVector:
-    """f-vector of the cyclic 7-polytope on n vertices."""
-    if n < 8:
-        raise InvalidParams(f"cyclic 7-polytope needs n >= 8, got {n}")
-    return FVector((
-        n,
-        _exact_div(n * (n - 1), 2),
-        _exact_div(n * (n - 1) * (n - 2), 6),
-        _exact_div(5 * (n - 4) * (n * n - 8 * n + 21), 6),
-        _exact_div((n - 4) * (3 * n * n - 31 * n + 84), 2),
-        _exact_div(7 * (n - 4) * (n - 5) * (n - 6), 6),
-        _exact_div((n - 4) * (n - 5) * (n - 6), 3),
-    ))
+def cyclic_f(d: int, n: int) -> FVector:
+    """f-vector of the cyclic d-polytope on n vertices, from the Upper Bound
+    Theorem: its h-vector is h_i = C(n-d-1+i, i) for i <= d/2, then
+    symmetric, and f_(j-1) = sum over i of C(d-i, j-i) h_i."""
+    if d < 2:
+        raise InvalidParams(f"dimension must be >= 2, got {d}")
+    if n <= d:
+        raise InvalidParams(f"cyclic polytope needs n >= d+1, got n={n}, d={d}")
+    h = [comb(n - d - 1 + min(i, d - i), min(i, d - i)) for i in range(d + 1)]
+    return FVector(tuple(sum(comb(d - i, j - i) * h[i] for i in range(j + 1))
+                         for j in range(1, d + 1)))
 
 
 def connected_sum_f(fP, fQ) -> FVector:

@@ -10,7 +10,8 @@ over a face are the AND of its vertices' bitsets.  Every bitset is a window
 ``(first, bits)`` stored from its first face on, so a face with few faces over
 it costs few bits however many faces the lattice has.  ``flag_vector`` adds
 each face's chain counts, packed into one int, into the faces of its windows,
-rank by rank, and ``toric_h`` pushes each face's g-polynomial the same way;
+rank by rank, and is the lattice's only chain sweep: the invariants that are
+linear forms on the flag vector are read from it by ``cdindex``;
 ``is_eulerian`` ANDs windows over and under the two ends of each interval of
 even rank gap; ``dual`` reads each face's window of facets, ``interval`` the
 windows of its lower end.  This enumeration makes the module the ground truth
@@ -21,14 +22,13 @@ construction and the internal caches are only ever filled, never invalidated,
 so concurrent readers are safe.
 """
 
-import functools
 import itertools
 import json
 import math
-import operator
 import os
 
 from .errors import DeskScaleExceeded, FaceNotInLattice, InvalidParams
+from .families import cyclic_f
 from .flagalg import FlagVector, FVector
 from .rational import is_json_int
 
@@ -52,6 +52,15 @@ def max_faces() -> int:
     return budget
 
 
+def _check_face_budget(total: int):
+    """Refuse a lattice of ``total`` faces when it exceeds the budget."""
+    budget = max_faces()
+    if total > budget:
+        raise DeskScaleExceeded(
+            f"{total} faces exceed the enumeration budget {budget} "
+            f"(override with {MAX_FACES_ENV})")
+
+
 class FaceLattice:
     """Ranked face poset of a polytope, ordered by vertex-set inclusion.
 
@@ -72,12 +81,7 @@ class FaceLattice:
             if not -1 <= rank <= d:
                 raise InvalidParams(f"face rank {rank} outside -1..{d}")
             by_rank[rank + 1].add(frozenset(verts))
-        total = sum(len(level) for level in by_rank)
-        budget = max_faces()
-        if total > budget:
-            raise DeskScaleExceeded(
-                f"{total} faces exceed the enumeration budget {budget} "
-                f"(override with {MAX_FACES_ENV})")
+        _check_face_budget(sum(len(level) for level in by_rank))
         if len(by_rank[0]) != 1 or next(iter(by_rank[0])):
             raise InvalidParams("need exactly one empty face of rank -1")
         if len(by_rank[d + 1]) != 1:
@@ -111,7 +115,6 @@ class FaceLattice:
         # holding it are first + k for the set bits k of bits
         self._windows: list[dict[int, tuple[int, int]] | None] = [None] * (d + 2)
         self._flags: FlagVector | None = None
-        self._toric_h: tuple[int, ...] | None = None
         self._check_strict_inclusions()
 
     def _check_strict_inclusions(self):
@@ -273,49 +276,6 @@ class FaceLattice:
         self._flags = FlagVector(d, entries)
         return self._flags
 
-    def toric_h(self) -> tuple[int, ...]:
-        """Toric h-vector (h_0, ..., h_d), in one pass over the ranks.
-
-        The h-polynomial of a rank-r face is the sum of g(G) (x - 1)^(r - 1 -
-        rank G) over its proper faces G, and its g-polynomial has g_i = h_i -
-        h_(i-1) for i <= r / 2, h_i being the coefficient of x^(r - i).  Rank
-        by rank, each face's g is read from its finished h and pushed into
-        the faces over it.  A rank-r face with r + 1 vertices is a simplex,
-        whose g is 1, so only the other faces and the top collect an h.
-        """
-        if self._toric_h is not None:
-            return self._toric_h
-        d = self.d
-        # per rank, the faces collecting an h, as a bitset over face indices;
-        # _ranks[n] holds the faces of rank n - 1, simplices if of n vertices,
-        # and h[n][y] lists h_0, ..., h_(n-1) of face y there
-        targets = [sum(1 << j for j, f in enumerate(level) if len(f) != n)
-                   for n, level in enumerate(self._ranks)]
-        targets[d + 1] = 1
-        h = [{y: [0] * n for y in _members(0, mask)}
-             for n, mask in enumerate(targets)]
-        for a in range(-1, d):
-            gs = [(1,) if hx is None else
-                  tuple(p - q for p, q in zip(hx[:a // 2 + 1], [0, *hx]))
-                  for hx in map(h[a + 1].get, range(len(self._ranks[a + 1])))]
-            for b in range(a + 1, d + 1):
-                into, mask = h[b + 1], targets[b + 1]
-                if not mask:
-                    continue
-                shift = _x_minus_one_pow(b - 1 - a)
-                pushes = {}  # g -> g (x - 1)^(b - 1 - a), from x^b down
-                for g, (first, bits) in zip(gs, self._above(a, b)):
-                    over = _members(first, bits & mask >> first)
-                    if over and g not in pushes:
-                        push = pushes[g] = [0] * (b + 1)
-                        for i, gi in enumerate(g):
-                            for j, c in enumerate(shift):
-                                push[b - i - j] += gi * c
-                    for y in over:
-                        into[y] = list(map(operator.add, into[y], pushes[g]))
-        self._toric_h = tuple(h[d + 1][0])
-        return self._toric_h
-
     # ------------------------------------------------------------------
     # derived lattices
 
@@ -383,7 +343,7 @@ class FaceLattice:
         Only even rank gaps >= 2 are tested.  A gap-1 interval holds its two
         ends alone, and an odd-gap interval whose proper subintervals are
         Eulerian is Eulerian: mu(x, y) summed from below and from above gives
-        2 mu = -2 (Stanley, Enumerative Combinatorics I, ch. 3 exercises).
+        2 mu = -2 (Stanley, EC I, ch. 3 exercises).
         That uses only the stored ranks, so it holds on non-graded input too.
         Faces z strictly between x and y are counted rank by rank, as the AND
         of x's window of rank-c faces over it and y's window of rank-c faces
@@ -470,12 +430,6 @@ class FaceLattice:
         return cls(d, out)
 
 
-@functools.cache
-def _x_minus_one_pow(m: int) -> tuple[int, ...]:
-    """The coefficients of (x - 1)^m, lowest power first."""
-    return tuple((-1) ** (m - i) * math.comb(m, i) for i in range(m + 1))
-
-
 def _members(first: int, bits: int) -> list[int]:
     """The indices in a window: first + k for the set bits k of bits."""
     out = []
@@ -539,6 +493,8 @@ def build_cyclic(d: int, n: int) -> FaceLattice:
     _check_dim(d, 2)
     if n <= d:
         raise InvalidParams(f"cyclic polytope needs n >= d+1, got n={n}, d={d}")
+    # refuse from the closed-form face count, before any facet is tested
+    _check_face_budget(sum(cyclic_f(d, n)) + 2)
     if math.comb(n, d) > 5 * 10**6:
         raise DeskScaleExceeded(
             f"facet enumeration over C({n},{d}) subsets is out of budget")

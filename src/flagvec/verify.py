@@ -124,7 +124,7 @@ def run_verification(seed: int = 0) -> VerificationReport:
         ok(CheckResult(name, bool(passed), str(expected), str(computed), note))
 
     # ---- cyclic 5-polytopes: closed form, enumeration, convexity failure
-    closed = families.cyclic_f5(8)
+    closed = families.cyclic_f(5, 8)
     enumerated = lattice.build_cyclic(5, 8).f_vector()
     check("cyclic5-8-closed-form", closed == (8, 28, 52, 50, 20),
           "(8, 28, 52, 50, 20)", str(tuple(closed)))
@@ -208,7 +208,7 @@ def run_verification(seed: int = 0) -> VerificationReport:
           str(tuple(tetra)))
     consum_ok = all(
         families.p7n(n) == families.connected_sum_f(
-            families.cyclic_f7(n), families.cyclic_f7(n).reversed())
+            families.cyclic_f(7, n), families.cyclic_f(7, n).reversed())
         for n in range(8, 51))
     check("p7n-connected-sum-path", consum_ok,
           "closed forms match the connected-sum composition for n = 8..50",

@@ -38,7 +38,7 @@ def is_simplicial(L):
 
 def test_criterion_1_cyclic5_nonconvexity():
     with criterion("1 cyclic-5 non-convexity"):
-        closed = fv.cyclic_f5(8)
+        closed = fv.cyclic_f(5, 8)
         assert closed == (8, 28, 52, 50, 20)
         assert fv.build_cyclic(5, 8).f_vector() == closed
         assert closed[1] == 28
@@ -170,7 +170,7 @@ def test_criterion_8_connected_sum_arithmetic():
         for n in range(8, 51):
             direct = fv.p7n(n)
             composed = fv.connected_sum_f(
-                fv.cyclic_f7(n), fv.cyclic_f7(n).reversed())
+                fv.cyclic_f(7, n), fv.cyclic_f(7, n).reversed())
             assert direct == composed
             assert direct == direct.reversed()
 

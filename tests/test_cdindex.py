@@ -6,6 +6,7 @@ from flagvec import (
     CdPolynomial,
     DegreeMismatch,
     FlagVector,
+    MissingEntry,
     NotEulerian,
     ab_index,
     ab_to_cd,
@@ -179,6 +180,14 @@ def test_toric_g_values():
     assert toric_h(build_cyclic(5, 8)) == (1, 3, 6, 6, 3, 1)
     assert tuple(toric_g(build_cube(3))) == (1, 4)
     assert tuple(toric_g(build_polygon(7))) == (1, 4)
+
+
+def test_toric_h_reads_a_complete_flag_vector():
+    v = build_cube(4).flag_vector()
+    assert toric_h(v) == toric_h(build_cube(4)) == (1, 12, 14, 12, 1)
+    assert tuple(toric_g(v)) == (1, 11, 2)
+    with pytest.raises(MissingEntry):
+        toric_h(FlagVector(2, {(0,): 4, (1,): 4}))
 
 
 def test_toric_g1_identity(small_corpus):

@@ -116,6 +116,12 @@ def test_cdindex_coefficient_degree_is_read_from_the_exponents(capsys):
     assert err == "error: 'c^10000000' has degree 10000000, need 3\n"
     code, out, err = run(capsys, "cdindex", "simplex", "-d", "3", "--coeff", "c0")
     assert code == 2 and err == "error: empty cd-word 'c0'\n"
+    # an exponent too long for int() is refused by the word, cut short
+    code, out, err = run(capsys, "cdindex", "simplex", "-d", "3",
+                         "--coeff", "c^" + "1" * 5000)
+    assert code == 2 and out == ""
+    assert err == ("error: cd-word 'c^111111111111111111'... has an exponent"
+                   " too long to read\n")
 
 
 def test_cdindex_single_coefficient(capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,29 +13,64 @@ from flagvec import (
     candidate_6d,
     candidate_7d,
     connected_sum_f,
-    cyclic_f5,
-    cyclic_f7,
+    cyclic_f,
     logconv_scan,
     neighborly_gap,
     p7n,
     properties,
     r3_closed_form,
+    toric_h,
 )
 
 
+def cyclic_f5(n: int) -> FVector:
+    """Test oracle: the f-vector of the cyclic 5-polytope as explicit
+    polynomials, (n, n(n-1)/2, 2(n^2-6n+10), 5(n-3)(n-4)/2, (n-3)(n-4))."""
+    return FVector((n, n * (n - 1) // 2, 2 * (n * n - 6 * n + 10),
+                    5 * (n - 3) * (n - 4) // 2, (n - 3) * (n - 4)))
+
+
+def cyclic_f7(n: int) -> FVector:
+    """Test oracle: the f-vector of the cyclic 7-polytope as explicit
+    polynomials."""
+    return FVector((n, n * (n - 1) // 2, n * (n - 1) * (n - 2) // 6,
+                    5 * (n - 4) * (n * n - 8 * n + 21) // 6,
+                    (n - 4) * (3 * n * n - 31 * n + 84) // 2,
+                    7 * (n - 4) * (n - 5) * (n - 6) // 6,
+                    (n - 4) * (n - 5) * (n - 6) // 3))
+
+
+def _ubt_h(d, n):
+    """The Upper Bound Theorem h-vector of the cyclic polytope, to d/2."""
+    return tuple(comb(n - d - 1 + i, i) for i in range(d // 2 + 1))
+
+
 def test_cyclic_closed_forms_match_reference_values():
-    assert cyclic_f5(8) == (8, 28, 52, 50, 20)
-    assert cyclic_f7(8) == (8, 28, 56, 70, 56, 28, 8)
-    with pytest.raises(InvalidParams):
-        cyclic_f5(5)
-    with pytest.raises(InvalidParams):
-        cyclic_f7(7)
+    assert cyclic_f(5, 8) == (8, 28, 52, 50, 20)
+    assert cyclic_f(7, 8) == (8, 28, 56, 70, 56, 28, 8)
+    assert cyclic_f(2, 3) == (3, 3)
+    with pytest.raises(InvalidParams, match="n >= d"):
+        cyclic_f(5, 5)
+    with pytest.raises(InvalidParams, match="n >= d"):
+        cyclic_f(7, 7)
+    with pytest.raises(InvalidParams, match="dimension"):
+        cyclic_f(1, 5)
 
 
 @pytest.mark.parametrize("d,make", [(5, cyclic_f5), (7, cyclic_f7)])
 def test_cyclic_closed_forms_match_lattices(d, make):
+    for n in range(d + 1, 61):
+        assert cyclic_f(d, n) == make(n), n
     for n in range(d + 1 if d == 5 else 8, 13):
         assert make(n) == build_cyclic(d, n).f_vector(), n
+
+
+@pytest.mark.parametrize("d,n", [(2, 6), (3, 7), (4, 9), (5, 8), (6, 10),
+                                 (7, 12), (8, 14)])
+def test_cyclic_f_and_ubt_h_match_enumeration(d, n):
+    L = build_cyclic(d, n)
+    assert cyclic_f(d, n) == L.f_vector()
+    assert toric_h(L)[:d // 2 + 1] == _ubt_h(d, n)
 
 
 def test_connected_sum_arithmetic():
@@ -56,7 +92,7 @@ def test_p7n_reference_values():
 def test_p7n_agrees_with_connected_sum_route():
     for n in range(8, 51):
         direct = p7n(n)
-        composed = connected_sum_f(cyclic_f7(n), cyclic_f7(n).reversed())
+        composed = connected_sum_f(cyclic_f(7, n), cyclic_f(7, n).reversed())
         assert direct == composed, n
         assert direct == direct.reversed()
 
@@ -72,7 +108,7 @@ def test_properties_on_reference_vectors():
     assert not rep.convex and rep.witnesses["convex"] == 1
     assert rep.log_convex and rep.unimodal and rep.barany
 
-    rep = properties([int(x) for x in cyclic_f7(8)])  # the 7-simplex
+    rep = properties([int(x) for x in cyclic_f(7, 8)])  # the 7-simplex
     assert not rep.convex
     assert rep.log_convex
 
@@ -118,9 +154,9 @@ def test_property_implication_chain(components):
 def test_convexity_fails_at_k1_for_large_cyclic5():
     # 2-neighbourliness pushes f_1 below the convexity bound from n = 8 on
     for n in (6, 7):
-        assert properties(cyclic_f5(n)).convex
+        assert properties(cyclic_f(5, n)).convex
     for n in range(8, 15):
-        rep = properties(cyclic_f5(n))
+        rep = properties(cyclic_f(5, n))
         assert not rep.convex and rep.witnesses["convex"] == 1, n
 
 

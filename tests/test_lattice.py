@@ -20,7 +20,9 @@ from flagvec import (
     dual,
     quotient,
     toric_g,
+    toric_h,
 )
+from flagvec import lattice as lattice_module
 from flagvec.flagalg import FlagVector
 from flagvec.lattice import MAX_FACES_ENV, _members
 
@@ -29,6 +31,11 @@ NON_GRADED = [(-1, []), (0, [0]), (0, [1]), (0, [2]), (0, [3]),
               (1, [0, 1]), (1, [1, 2]), (1, [0, 2]), (2, [0, 1, 2, 3])]
 # three points under a 2-face, with no edges: rank 1 is empty
 EMPTY_RANK = [(-1, []), (0, [0]), (0, [1]), (0, [2]), (2, [0, 1, 2])]
+# a rank-r face with r + 1 vertices need not be a simplex: [0, 1, 2] has the
+# edge [0, 1] alone, so neither it nor the faces over it are simplices
+FALSE_SIMPLICES = [(-1, []), *((0, [v]) for v in range(6)), (1, [0, 1]),
+                   (2, [0, 1, 2]), (3, [0, 1, 2, 3]), (4, [0, 1, 2, 3, 4]),
+                   (5, range(6))]
 
 
 def _mask(vertices) -> int:
@@ -98,9 +105,22 @@ def _toric_h_oracle(L, masks):
     """Test oracle: the toric h-vector by the pull recursion over the
     all-pairs incidence.  A rank-b face's h-polynomial is the sum of g(G)
     (x - 1)^(b - 1 - rank G) over its proper faces G, each g memoized per face
-    and read from that face's own h; a rank-a face with a + 1 vertices is a
-    simplex, with g = 1."""
+    and read from that face's own h; a simplex, a rank-a face with a + 1
+    vertices whose facets are all faces and simplices, has g = 1."""
     below, g_memo = {}, {}
+    index = {m: (r, i) for r in masks for i, m in enumerate(masks[r])}
+    simplex_memo = {}
+
+    def is_simplex(a, i):
+        if a == -1:
+            return True
+        if (a, i) not in simplex_memo:
+            m = masks[a][i]
+            facets = [m & ~(1 << v) for v in range(m.bit_length()) if m >> v & 1]
+            simplex_memo[a, i] = len(facets) == a + 1 and all(
+                index.get(f, (None,))[0] == a - 1 and is_simplex(*index[f])
+                for f in facets)
+        return simplex_memo[a, i]
 
     def face_h(b, j):
         h = [0] * (b + 1)  # h[i] is the coefficient of x^(b - i)
@@ -119,7 +139,7 @@ def _toric_h_oracle(L, masks):
 
     def face_g(a, i):
         if (a, i) not in g_memo:
-            if masks[a][i].bit_count() == a + 1:
+            if is_simplex(a, i):
                 g_memo[a, i] = [1]
             else:
                 h = face_h(a, i)
@@ -288,10 +308,13 @@ def test_toric_h_and_g_match_the_pull_recursion_oracle(small_corpus):
     oracle = _oracle_lattices(small_corpus)
     # NON_GRADED, the last of them, and EMPTY_RANK have no dual: faces under
     # no facet would put the empty vertex set at two ranks of it
-    for L in [*oracle, FaceLattice(2, EMPTY_RANK), *(L.dual() for L in oracle[:-1]),
+    false_simplices = FaceLattice(5, FALSE_SIMPLICES)
+    assert toric_h(false_simplices) == (1, 1, -13, 15, -17, 5)
+    for L in [*oracle, FaceLattice(2, EMPTY_RANK), false_simplices,
+              *(L.dual() for L in oracle[:-1]),
               build_cube(8), build_crosspolytope(8), build_cyclic(8, 14)]:
         want = _toric_h_oracle(L, _masks(L))
-        assert L.toric_h() == want, L
+        assert toric_h(L) == want, L
         assert tuple(toric_g(L)) == tuple(
             want[i] - (want[i - 1] if i else 0) for i in range(L.d // 2 + 1)), L
 
@@ -596,6 +619,25 @@ def test_desk_scale_guards(monkeypatch):
         build_cube(3)
     monkeypatch.delenv(MAX_FACES_ENV)
     build_cube(3)
+
+
+def test_cyclic_is_refused_before_its_facets_are_enumerated(monkeypatch):
+    L = build_cyclic(4, 7)
+    monkeypatch.setenv(MAX_FACES_ENV, str(L.face_count() - 1))
+    with pytest.raises(DeskScaleExceeded) as from_faces:
+        FaceLattice(L.d, L.all_faces())
+
+    def never(sub, n):
+        raise AssertionError("a facet was tested before the face budget")
+
+    monkeypatch.setattr(lattice_module, "_gale_even", never)
+    with pytest.raises(DeskScaleExceeded) as from_closed_form:
+        build_cyclic(4, 7)
+    assert str(from_closed_form.value) == str(from_faces.value)
+    monkeypatch.setenv(MAX_FACES_ENV, "1000")
+    with pytest.raises(DeskScaleExceeded,
+                       match="^129152 faces exceed the enumeration budget 1000 "):
+        build_cyclic(8, 25)
 
 
 def test_lattice_validation():
