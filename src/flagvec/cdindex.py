@@ -9,7 +9,10 @@ P = c*A + d*B, the parts after a leading a and b are A + b*B and A + a*B, so
 their difference fixes B, and A follows.  Every ab-word equation is checked
 on the way, so inconsistency is detected rather than assumed away.  Only +
 and - are used, so the same recursion serves rational and flag-form
-coefficients, that is, the numeric and the symbolic extraction.
+coefficients, that is, the numeric and the symbolic extraction.  The same
+holds for k itself: one Moebius pass per position over every index set turns
+f into k, for numeric flag vectors and for the symbolic flag forms (each f_S
+reduced to the sparse basis) alike.
 
 Stanley's toric h-vector is a fixed linear form on the flag vector as well:
 its recursion reads only ranks, so toric h sums f_S times one weight vector
@@ -21,7 +24,7 @@ import re
 from functools import lru_cache
 
 from .errors import DegreeMismatch, InvalidParams, MissingEntry, NotEulerian
-from .flagalg import FlagVector
+from .flagalg import FlagVector, index_sets, reduce_index
 from .forms import FlagForm
 from .rational import normalize, rat_from_str, rat_to_str
 
@@ -210,37 +213,35 @@ def _sub(p: dict, q: dict) -> dict:
 # ab-index and the cd rewrite
 
 
+def _ab_terms(f, d: int) -> dict:
+    """ab-word -> k_S = sum over T inside S of (-1)^{|S|-|T|} f(T), the word
+    having letter b exactly at the positions of S.
+
+    For each position i, every S holding i subtracts the value at S - {i},
+    which that pass leaves alone: d passes, O(d 2^d) + and - in all.
+    """
+    k = {S: f(S) for S in index_sets(d)}
+    for i in range(d):
+        for S in index_sets(d):
+            if i in S:
+                k[S] = k[S] - k[tuple(x for x in S if x != i)]
+    return {word_for_set(S, d): value for S, value in k.items()}
+
+
 def ab_index(v: FlagVector) -> AbPolynomial:
-    """Flag k-polynomial of a complete flag vector, by inclusion-exclusion:
-    the word with letter b exactly at the positions of S carries
-    k_S = sum over T inside S of (-1)^{|S|-|T|} f_T."""
+    """Flag k-polynomial of a complete flag vector."""
     if not v.complete:
         raise MissingEntry("the ab-index needs all flag entries")
-    d = v.d
-    terms = {}
-    for size in range(0, d + 1):
-        for S in itertools.combinations(range(d), size):
-            k = 0
-            for tsize in range(0, size + 1):
-                for T in itertools.combinations(S, tsize):
-                    k += (-1) ** (size - tsize) * v.get(T)
-            terms[word_for_set(S, d)] = normalize(k)
-    return AbPolynomial(d, terms)
+    terms = _ab_terms(v.get, v.d)
+    return AbPolynomial(v.d, {w: normalize(k) for w, k in terms.items()})
 
 
 @lru_cache(maxsize=None)
 def symbolic_ab_index(d: int) -> AbPolynomial:
-    """ab-index with flag-form coefficients, every k_S reduced to the sparse
-    basis so that the cd rewrite holds exactly in those coordinates."""
-    terms = {}
-    for size in range(0, d + 1):
-        for S in itertools.combinations(range(d), size):
-            coeffs: dict[tuple[int, ...], int] = {}
-            for tsize in range(0, size + 1):
-                for T in itertools.combinations(S, tsize):
-                    coeffs[T] = coeffs.get(T, 0) + (-1) ** (size - tsize)
-            terms[word_for_set(S, d)] = FlagForm(d, coeffs).reduced()
-    return AbPolynomial(d, terms)
+    """ab-index with flag-form coefficients over the sparse basis, so that
+    the cd rewrite holds exactly in those coordinates: each f_S enters
+    reduced, and differences of reduced forms stay reduced."""
+    return AbPolynomial(d, _ab_terms(lambda S: FlagForm(d, reduce_index(S, d)), d))
 
 
 def _after(terms: dict, letter: str) -> dict:

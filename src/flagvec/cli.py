@@ -198,7 +198,12 @@ def _normalize_word(text: str, d: int) -> str:
     degree = sum(count if letter == "c" else 2 * count for letter, count in runs)
     _need(degree > 0, f"empty cd-word {text!r}")
     if degree != d:
-        raise DegreeMismatch(f"{text!r} has degree {degree}, need {d}")
+        name = repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
+        try:
+            message = f"{name} has degree {degree}, need {d}"
+        except ValueError:  # a degree of more digits than str() may write
+            message = f"{name} has a degree far above the {d} needed"
+        raise DegreeMismatch(message)
     return "".join(letter * count for letter, count in runs)
 
 

@@ -122,14 +122,7 @@ def properties(f) -> PropertyReport:
         if barany and comps[k] < end_min:
             barany, witnesses["barany"] = False, k
 
-    # no strict dip anywhere, and an ascent-then-descent shape around the
-    # first maximum; the two agree except on plateaus, where the shape test
-    # is the definition
-    dip_free = all(
-        not (comps[k] < comps[k - 1] and comps[k] < comps[k + 1])
-        for k in range(1, f.d - 1))
-    shaped, u_witness = _unimodal(f)
-    unimodal = dip_free and shaped
+    unimodal, u_witness = _unimodal(f)
     if not unimodal:
         witnesses["unimodal"] = u_witness
 

@@ -6,15 +6,16 @@ element of S strictly between them)
 
     sum_{j=i+1}^{k-1} (-1)^(j-i-1) f_{S + j}  =  f_S * (1 - (-1)^(k-i-1)).
 
-The S = {} gap (-1, d) case is Euler's relation.  Solving these relations
-repeatedly eliminates every index set that touches d-1 or contains two
-consecutive elements, leaving the Fibonacci-sized sparse basis; all of the
-arithmetic is exact and the elimination coefficients stay integral.
+The S = {} gap (-1, d) case is Euler's relation.  Every index set S of
+{0,...,d-1} comes from ``index_sets(d)``, by size and then lexicographically.
+A set is sparse when it has no offender, an element p with p + 1 in S or
+p = d - 1.  One relation holds f_S, for p the smallest offender, with
+coefficient +-1, so solving it for f_S and recursing rewrites f_S over the
+Fibonacci-sized sparse basis with integer coefficients.
 """
 
 import itertools
 import json
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import IncompleteBasis, InvalidParams, MissingEntry
@@ -57,6 +58,21 @@ class FVector:
         return FVector(self.components[::-1])
 
 
+@lru_cache(maxsize=None)
+def index_sets(d: int) -> tuple[tuple[int, ...], ...]:
+    """Every index set inside {0,...,d-1}, by size and then lexicographically."""
+    return tuple(itertools.chain.from_iterable(
+        itertools.combinations(range(d), k) for k in range(d + 1)))
+
+
+def index_set(S, d: int) -> tuple[int, ...]:
+    """S as a sorted tuple, refused unless it lies inside {0,...,d-1}."""
+    S = tuple(sorted(set(S)))
+    if S and not (0 <= S[0] and S[-1] < d):
+        raise InvalidParams(f"index set {S} outside 0..{d - 1}")
+    return S
+
+
 def subset_key(S) -> str:
     """Index set as a concatenated digit string ('' for the empty set)."""
     return "".join(str(i) for i in S)
@@ -87,6 +103,20 @@ def read_flag_json(text: str, body: str) -> tuple[int, dict]:
                for key, value in entries.items()}
 
 
+def write_flag_json(d: int, body: str, entries: dict) -> str:
+    """``{"d": d, body: {...}}`` with the entries by size and then
+    lexicographically, as read_flag_json reads it.  A key has one digit per
+    element, so a set with an element above 9 raises InvalidParams."""
+    for S in entries:
+        if S and S[-1] > 9:
+            raise InvalidParams(
+                f"index set {S} has an element above 9, which a JSON key"
+                " of one digit per element cannot spell")
+    return json.dumps({"d": d, body: {
+        subset_key(S): rat_to_str(v)
+        for S, v in sorted(entries.items(), key=lambda kv: (len(kv[0]), kv[0]))}})
+
+
 class FlagVector:
     """Mapping from index sets S in {0,...,d-1} to the chain counts f_S.
 
@@ -102,9 +132,7 @@ class FlagVector:
         self.d = d
         norm: dict[tuple[int, ...], object] = {}
         for S, value in entries.items():
-            S = tuple(sorted(set(S)))
-            if S and not (0 <= S[0] and S[-1] < d):
-                raise InvalidParams(f"index set {S} outside 0..{d - 1}")
+            S = index_set(S, d)
             norm[S] = normalize(rat_exact(value, S))
         if norm.setdefault((), 1) != 1:
             raise InvalidParams("f_empty must equal 1")
@@ -129,9 +157,7 @@ class FlagVector:
         return {S: self.get(S) for S in sparse_basis(self.d)}
 
     def to_json(self) -> str:
-        entries = {subset_key(S): rat_to_str(v)
-                   for S, v in sorted(self.entries.items(), key=lambda kv: (len(kv[0]), kv[0]))}
-        return json.dumps({"d": self.d, "entries": entries})
+        return write_flag_json(self.d, "entries", self.entries)
 
     @classmethod
     def from_json(cls, text: str) -> "FlagVector":
@@ -159,18 +185,17 @@ def sparse_basis(d: int) -> tuple[tuple[int, ...], ...]:
     """
     if d < 0:
         raise InvalidParams(f"dimension must be >= 0, got {d}")
-    sets = []
-    for size in range(0, d + 1):
-        for S in itertools.combinations(range(max(d - 1, 0)), size):
-            if all(b - a >= 2 for a, b in zip(S, S[1:])):
-                sets.append(S)
-    return tuple(sorted(sets, key=lambda S: (len(S), S)))
+    return tuple(S for S in index_sets(d) if _min_offender(S, d) is None)
+
+
+def _min_offender(S: tuple[int, ...], d: int):
+    """The smallest p in the sorted set S with p + 1 in S or p = d - 1."""
+    return next((p for p, q in zip(S, S[1:] + (d,)) if q == p + 1), None)
 
 
 def is_sparse(S, d: int) -> bool:
-    S = tuple(sorted(S))
-    return (all(s <= d - 2 for s in S)
-            and all(b - a >= 2 for a, b in zip(S, S[1:])))
+    S = tuple(sorted(set(S)))
+    return all(0 <= s < d for s in S) and _min_offender(S, d) is None
 
 
 # ----------------------------------------------------------------------
@@ -180,12 +205,9 @@ def is_sparse(S, d: int) -> bool:
 def gds_pairs(d: int) -> tuple:
     """All (S, (i, k)) relation labels for dimension d, in a fixed order."""
     pairs = []
-    for size in range(0, d + 1):
-        for S in itertools.combinations(range(d), size):
-            bounds = (-1,) + S + (d,)
-            for i, k in zip(bounds, bounds[1:]):
-                if k - i >= 2:
-                    pairs.append((S, (i, k)))
+    for S in index_sets(d):
+        bounds = (-1,) + S + (d,)
+        pairs.extend((S, (i, k)) for i, k in zip(bounds, bounds[1:]) if k - i >= 2)
     return tuple(pairs)
 
 
@@ -208,7 +230,7 @@ def gds_residuals(v: FlagVector) -> list:
     out = []
     for S, gap in gds_pairs(v.d):
         combo = gds_relation(S, gap, v.d)
-        out.append(normalize(sum(c * Fraction(v.get(T)) for T, c in combo.items())))
+        out.append(normalize(sum(c * v.get(T) for T, c in combo.items())))
     return out
 
 
@@ -216,49 +238,34 @@ def gds_residuals(v: FlagVector) -> list:
 # reduction to the sparse basis
 
 
-def _min_offender(S: tuple[int, ...], d: int):
-    offenders = [p for p in S if p + 1 in S or p == d - 1]
-    return min(offenders) if offenders else None
+@lru_cache(maxsize=None)
+def _reduce(S: tuple[int, ...], d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """f_S over the sparse basis, as (T, integer coefficient) pairs.
 
-
-def _eliminate_once(S: tuple[int, ...], d: int) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Rewrite f_S via the relation on the gap left of its smallest offender.
-
-    The relation is solved for its highest term, which by the choice of the
-    offender is exactly f_S; every replacement set is smaller than S in the
-    descending lexicographic order, so repeated elimination terminates.
+    For p the smallest offender of S and i the largest element of S below p
+    (or -1), gap (i, p + 1) of S - p holds f_S with coefficient +-1; that
+    relation is solved for f_S.  Every other set in it is smaller than S in
+    the descending lexicographic order, so the recursion terminates.
     """
     p = _min_offender(S, d)
+    if p is None:
+        return ((S, 1),)
     rest = tuple(x for x in S if x != p)
-    i = max([x for x in rest if x < p], default=-1)
-    k = min([x for x in rest if x > p], default=d)
-    assert k - 1 == p, (S, p, i, k)
-    sign = Fraction((-1) ** (p - i - 1))
-    terms = [(rest, sign * (1 - (-1) ** (k - i - 1)))]
-    for j in range(i + 1, p):
-        terms.append((tuple(sorted(rest + (j,))), -sign * (-1) ** (j - i - 1)))
-    return terms
-
-
-@lru_cache(maxsize=None)
-def _reduce(S: tuple[int, ...], d: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    if is_sparse(S, d):
-        return ((S, Fraction(1)),)
-    combo: dict[tuple[int, ...], Fraction] = {}
-    for T, c in _eliminate_once(S, d):
+    i = max((x for x in rest if x < p), default=-1)
+    relation = gds_relation(rest, (i, p + 1), d)
+    sign = relation.pop(S)
+    combo: dict[tuple[int, ...], int] = {}
+    for T, c in relation.items():
         for U, cu in _reduce(T, d):
-            combo[U] = combo.get(U, Fraction(0)) + c * cu
+            combo[U] = combo.get(U, 0) - sign * c * cu
     return tuple(sorted(((U, c) for U, c in combo.items() if c),
                         key=lambda item: (len(item[0]), item[0])))
 
 
-def reduce_index(S, d: int) -> dict[tuple[int, ...], Fraction]:
+def reduce_index(S, d: int) -> dict[tuple[int, ...], int]:
     """Express f_S over the sparse basis, valid on every relation-satisfying
     flag vector.  Idempotent on sparse sets."""
-    S = tuple(sorted(set(S)))
-    if S and not (0 <= S[0] and S[-1] < d):
-        raise InvalidParams(f"index set {S} outside 0..{d - 1}")
-    return dict(_reduce(S, d))
+    return dict(_reduce(index_set(S, d), d))
 
 
 def complete_from_sparse(values: dict, d: int) -> FlagVector:
@@ -266,8 +273,8 @@ def complete_from_sparse(values: dict, d: int) -> FlagVector:
     basis = sparse_basis(d)
     norm: dict[tuple[int, ...], object] = {}
     for S, value in values.items():
-        S = tuple(sorted(set(S)))
-        if not is_sparse(S, d):
+        S = index_set(S, d)
+        if _min_offender(S, d) is not None:
             raise InvalidParams(f"{S} is not a sparse index set for d={d}")
         norm[S] = normalize(rat_exact(value, S))
     if norm.setdefault((), 1) != 1:
@@ -276,13 +283,8 @@ def complete_from_sparse(values: dict, d: int) -> FlagVector:
     if missing:
         raise IncompleteBasis(
             f"missing sparse values for {[subset_key(S) for S in missing]}")
-    entries: dict[tuple[int, ...], object] = {}
-    for size in range(0, d + 1):
-        for S in itertools.combinations(range(d), size):
-            entries[S] = normalize(sum(
-                (c * Fraction(norm[T]) for T, c in _reduce(S, d)),
-                start=Fraction(0)))
-    return FlagVector(d, entries)
+    return FlagVector(d, {S: sum(c * norm[T] for T, c in _reduce(S, d))
+                          for S in index_sets(d)})
 
 
 def euler_check(f) -> bool:

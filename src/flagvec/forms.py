@@ -7,7 +7,6 @@ considered equivalent when their difference reduces to zero against the
 Dehn-Sommerville relations, which is how the classical identities are stated.
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -18,13 +17,15 @@ from .flagalg import (
     complete_from_sparse,
     euler_check,
     gds_residuals,
+    index_set,
     read_flag_json,
     reduce_index,
     sparse_basis,
     subset_key,
+    write_flag_json,
 )
 from .families import PropertyReport, properties
-from .rational import normalize, rat_exact, rat_to_str
+from .rational import normalize, rat_exact
 
 
 class FlagForm:
@@ -38,9 +39,7 @@ class FlagForm:
         self.d = d
         norm: dict[tuple[int, ...], Fraction] = {}
         for S, c in coeffs.items():
-            S = tuple(sorted(set(S)))
-            if S and not (0 <= S[0] and S[-1] < d):
-                raise InvalidParams(f"index set {S} outside 0..{d - 1}")
+            S = index_set(S, d)
             c = Fraction(rat_exact(c, S))
             if c:
                 norm[S] = norm.get(S, Fraction(0)) + c
@@ -113,9 +112,7 @@ class FlagForm:
         return (self - other).reduced().is_zero()
 
     def to_json(self) -> str:
-        coeffs = {subset_key(S): rat_to_str(c)
-                  for S, c in sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))}
-        return json.dumps({"d": self.d, "coeffs": coeffs})
+        return write_flag_json(self.d, "coeffs", self.coeffs)
 
     @classmethod
     def from_json(cls, text: str) -> "FlagForm":

@@ -29,7 +29,7 @@ import os
 
 from .errors import DeskScaleExceeded, FaceNotInLattice, InvalidParams
 from .families import cyclic_f
-from .flagalg import FlagVector, FVector
+from .flagalg import FlagVector, FVector, index_sets
 from .rational import is_json_int
 
 MAX_DIMENSION = 8
@@ -270,8 +270,7 @@ class FaceLattice:
                         bits >>= k
         field = (1 << width) - 1
         entries = {(): 1}
-        for S in sorted(itertools.chain.from_iterable(
-                itertools.combinations(range(d), k) for k in range(1, d + 1))):
+        for S in sorted(index_sets(d)[1:]):
             entries[S] = total >> (width * sum(1 << s for s in S)) & field
         self._flags = FlagVector(d, entries)
         return self._flags
@@ -540,10 +539,9 @@ def build_crosspolytope(d: int) -> FaceLattice:
     """
     _check_dim(d, 1)
     faces: list[tuple[int, tuple[int, ...]]] = [(-1, ()), (d, tuple(range(2 * d)))]
-    for size in range(1, d + 1):
-        for axes in itertools.combinations(range(d), size):
-            for signs in itertools.product((0, 1), repeat=size):
-                faces.append((size - 1, tuple(2 * a + s for a, s in zip(axes, signs))))
+    for axes in index_sets(d)[1:]:
+        for signs in itertools.product((0, 1), repeat=len(axes)):
+            faces.append((len(axes) - 1, tuple(2 * a + s for a, s in zip(axes, signs))))
     return FaceLattice(d, faces)
 
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -25,7 +28,13 @@ from flagvec import (
     toric_g,
     toric_h,
 )
-from flagvec.cdindex import _symbolic_cd_index, cd_degree, symbolic_ab_index
+from flagvec.cdindex import (
+    _symbolic_cd_index,
+    cd_degree,
+    symbolic_ab_index,
+    word_for_set,
+)
+from flagvec.forms import FlagForm
 
 
 def _expand_cd(word: str) -> dict[str, int]:
@@ -48,6 +57,41 @@ def _expand(poly: CdPolynomial) -> dict:
         for w, c in _expand_cd(u).items():
             out[w] = out[w] + c * coeff if w in out else c * coeff
     return out
+
+
+def _ab_index_oracle(d: int) -> dict[str, dict]:
+    """Test oracle: the ab-index by the defining triple loop, as the word of
+    each S -> {T: (-1)^{|S|-|T|} for T inside S}."""
+    out = {}
+    for size in range(0, d + 1):
+        for S in itertools.combinations(range(d), size):
+            out[word_for_set(S, d)] = {
+                T: (-1) ** (size - tsize)
+                for tsize in range(0, size + 1)
+                for T in itertools.combinations(S, tsize)}
+    return out
+
+
+def test_ab_index_matches_the_inclusion_exclusion_oracle():
+    # arbitrary integer entries, so the data is not Eulerian
+    rng = random.Random(20)
+    for d in range(0, 9):
+        for _ in range(3):
+            v = FlagVector(d, {S: rng.randint(-99, 99)
+                               for size in range(1, d + 1)
+                               for S in itertools.combinations(range(d), size)})
+            p = ab_index(v)
+            for word, combo in _ab_index_oracle(d).items():
+                assert p.coefficient(word) == sum(
+                    c * v.get(T) for T, c in combo.items()), (d, word)
+
+
+def test_symbolic_ab_index_matches_the_inclusion_exclusion_oracle():
+    for d in range(0, 9):
+        want = {w: FlagForm(d, combo).reduced()
+                for w, combo in _ab_index_oracle(d).items()}
+        assert symbolic_ab_index(d).terms == {
+            w: form for w, form in want.items() if not form.is_zero()}, d
 
 
 def test_cd_word_counts_are_fibonacci():

@@ -5,7 +5,8 @@ import pytest
 
 from flagvec.cli import main
 
-# verify-paper --no-meta --seed 7, as text and as JSON
+# verify-paper --no-meta --seed 7 as text and as JSON, and the outputs that
+# test_outputs_match_the_goldens names
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -122,6 +123,15 @@ def test_cdindex_coefficient_degree_is_read_from_the_exponents(capsys):
     assert code == 2 and out == ""
     assert err == ("error: cd-word 'c^111111111111111111'... has an exponent"
                    " too long to read\n")
+    # a word longer than 20 characters is named by its first 20
+    code, out, err = run(capsys, "cdindex", "simplex", "-d", "3", "--coeff", "c" * 30)
+    assert code == 2 and err == "error: 'cccccccccccccccccccc'... has degree 30, need 3\n"
+    # each exponent fits int(), but the degree has too many digits to print
+    code, out, err = run(capsys, "cdindex", "simplex", "-d", "3",
+                         "--coeff", "c^" + "9" * 4300 + "d^" + "9" * 4300)
+    assert code == 2 and out == ""
+    assert err == ("error: 'c^999999999999999999'... has a degree far above"
+                   " the 3 needed\n")
 
 
 def test_cdindex_single_coefficient(capsys):
@@ -224,6 +234,26 @@ def test_verify_paper_json_passes(capsys):
             "oracle-gds-residuals"} <= names
     assert all(c["passed"] for c in doc["checks"])
     assert len(doc["table"]) == 14
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("candidates_6_ell9.json", ("candidates", "6", "--ell", "9")),
+    ("candidates_7.json", ("candidates", "7")),
+    ("cdindex_simplex_8.json", ("cdindex", "simplex", "-d", "8")),
+])
+def test_outputs_match_the_goldens(capsys, golden, argv):
+    code, out, _ = run(capsys, *argv, "--no-meta")
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_a_json_key_cannot_spell_an_element_above_9(capsys):
+    # g0@9 * g1@9 holds the set {9, 10}, whose key "910" would read back as
+    # the sequence 9, 1, 0
+    code, out, err = run(capsys, "convolve", "g0@9", "g1@9")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "(9, 10)" in err
 
 
 def test_lattice_cache_round_trip(tmp_path, capsys):

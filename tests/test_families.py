@@ -132,6 +132,20 @@ def test_properties_plateau_edge_cases():
     assert properties((2, 2, 2)).convex
 
 
+def _has_strict_dip(f) -> bool:
+    """Test oracle: some interior entry is below both of its neighbours."""
+    return any(f[k] < f[k - 1] and f[k] < f[k + 1] for k in range(1, len(f) - 1))
+
+
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=9))
+@settings(max_examples=400, deadline=None)
+def test_unimodal_vectors_have_no_strict_dip(components):
+    # rising to the first maximum and falling after it leaves no room for a
+    # dip, so the shape test alone decides unimodality
+    if properties(components).unimodal:
+        assert not _has_strict_dip(components)
+
+
 def test_properties_validation():
     with pytest.raises(InvalidParams):
         properties((3, 0, 3))

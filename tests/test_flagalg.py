@@ -23,8 +23,22 @@ from flagvec import (
     reduce_index,
     sparse_basis,
 )
-from flagvec.flagalg import is_sparse, parse_sparse_json, parse_subset_key, subset_key
+from flagvec.flagalg import (
+    index_sets,
+    is_sparse,
+    parse_sparse_json,
+    parse_subset_key,
+    subset_key,
+)
 from flagvec.forms import FlagForm
+
+
+def test_index_sets_are_every_subset_by_size_then_lex():
+    for d in range(0, 9):
+        sets = index_sets(d)
+        assert len(sets) == len(set(sets)) == 2 ** d
+        assert all(set(S) <= set(range(d)) and list(S) == sorted(S) for S in sets)
+        assert list(sets) == sorted(sets, key=lambda S: (len(S), S))
 
 
 def test_sparse_basis_sizes_are_fibonacci():
@@ -77,6 +91,13 @@ def test_reduce_index_appendix_chain():
     # f_124 = f_123, and both collapse to 2 f_13
     assert reduce_index((1, 2, 4), 5) == reduce_index((1, 2, 3), 5) == {(1, 3): 2}
     assert reduce_index((0, 1, 3), 5) == {(1, 3): 2}
+
+
+def test_reduce_index_coefficients_are_ints():
+    # f_S has coefficient +-1 in the relation that is solved for it
+    for d in range(0, 9):
+        for S in index_sets(d):
+            assert all(type(c) is int for c in reduce_index(S, d).values()), S
 
 
 def test_reduce_index_rejects_bad_sets():
@@ -138,6 +159,19 @@ def test_complete_from_sparse_validation():
     bad[()] = 2
     with pytest.raises(InvalidParams):
         complete_from_sparse(bad, 6)
+    # a key outside 0..d-1 is refused, not ignored
+    for key in ((-1,), (-3, 0), (7,)):
+        with pytest.raises(InvalidParams, match="outside 0..5"):
+            complete_from_sparse({**candidate_6d(0), key: 12345}, 6)
+
+
+def test_completing_one_raised_sparse_value_satisfies_every_relation():
+    for d in range(0, 9):
+        for T in sparse_basis(d)[1:]:
+            values = {S: 1 for S in sparse_basis(d)}
+            values[T] = 2
+            v = complete_from_sparse(values, d)
+            assert all(r == 0 for r in gds_residuals(v)), (d, T)
 
 
 def test_euler_check():
@@ -182,6 +216,16 @@ def test_flag_vector_json_round_trip(c58):
     v = c58.flag_vector()
     again = FlagVector.from_json(v.to_json())
     assert again == v
+
+
+def test_json_keys_refuse_an_element_above_9():
+    # a key spells one digit per element: {9, 10} would be written "910"
+    with pytest.raises(InvalidParams, match=r"\(9, 10\)"):
+        FlagVector(11, {(9, 10): 5}).to_json()
+    with pytest.raises(InvalidParams, match=r"\(10,\)"):
+        FlagForm(11, {(10,): 1}).to_json()
+    doc = FlagVector(10, {(0, 9): 5}).to_json()
+    assert FlagVector.from_json(doc) == FlagVector(10, {(0, 9): 5})
 
 
 def test_flag_vector_guards():
