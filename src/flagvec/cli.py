@@ -29,9 +29,7 @@ def _emit_json(doc: dict, args):
     print(json.dumps(doc | _meta(args), indent=2))
 
 
-def _build_family(family: str, d, n, cache_dir=None) -> "lattice.FaceLattice":
-    if cache_dir is not None:
-        return _cached_lattice(family, d, n, cache_dir)
+def _build_family(family: str, d, n) -> "lattice.FaceLattice":
     if family == "simplex":
         _need(d is not None, "simplex needs -d")
         return lattice.build_simplex(d)
@@ -50,42 +48,16 @@ def _build_family(family: str, d, n, cache_dir=None) -> "lattice.FaceLattice":
     raise InvalidParams(f"unknown family {family!r}")
 
 
-def _cached_lattice(family: str, d, n, cache_dir) -> "lattice.FaceLattice":
-    import os
-    import tempfile
-
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"{family}-d{d}-n{n}.json")
-    if os.path.exists(path):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return lattice.FaceLattice.from_json(fh.read())
-        except (InvalidParams, ValueError) as exc:
-            raise InvalidParams(f"cache file {path}: {exc}") from None
-    L = _build_family(family, d, n)
-    # write a temporary file beside the cache file and rename it into place,
-    # so a reader never sees a half-written cache file
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(L.to_json())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return L
-
-
 def _need(cond: bool, message: str):
     if not cond:
         raise InvalidParams(message)
 
 
-def _family_f_vector(family: str, d, n, cache_dir=None):
+def _family_f_vector(family: str, d, n):
     if family == "p7n":
         _need(n is not None, "p7n needs -n")
         return 7, families.p7n(n)
-    L = _build_family(family, d, n, cache_dir)
+    L = _build_family(family, d, n)
     return L.d, L.f_vector()
 
 
@@ -94,7 +66,7 @@ def _family_f_vector(family: str, d, n, cache_dir=None):
 
 
 def cmd_generate(args) -> int:
-    d, f = _family_f_vector(args.family, args.d, args.n, args.cache_dir)
+    d, f = _family_f_vector(args.family, args.d, args.n)
     if args.format == "csv":
         print(",".join(f"f{i}" for i in range(d)))
         print(",".join(str(c) for c in f))
@@ -154,7 +126,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_flags(args) -> int:
-    L = _build_family(args.family, args.d, args.n, args.cache_dir)
+    L = _build_family(args.family, args.d, args.n)
     v = L.flag_vector()
     entries = {flagalg.subset_key(S): rat_to_str(val)
                for S, val in sorted(v.entries.items(),
@@ -169,7 +141,7 @@ def cmd_flags(args) -> int:
 
 
 def cmd_cdindex(args) -> int:
-    L = _build_family(args.family, args.d, args.n, args.cache_dir)
+    L = _build_family(args.family, args.d, args.n)
     word = args.coeff and _normalize_word(args.coeff, L.d)
     v = L.flag_vector()
     if word:
@@ -321,19 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact flag-vector combinatorics of convex polytopes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_format="json", builds_lattices=False):
+    def common(p, default_format="json"):
         p.add_argument("--format", choices=("json", "csv"), default=default_format)
         p.add_argument("--no-meta", action="store_true",
                        help="omit tool metadata from JSON output")
-        if builds_lattices:
-            p.add_argument("--cache-dir", default=None,
-                           help="directory for lattice JSON caching")
 
     p = sub.add_parser("generate", help="f-vector of a family member")
     p.add_argument("family", choices=FAMILIES)
     p.add_argument("-d", type=int, default=None)
     p.add_argument("-n", type=int, default=None)
-    common(p, builds_lattices=True)
+    common(p)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("check", help="property verdicts for an f-vector")
@@ -346,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=FAMILIES[:-1])
     p.add_argument("-d", type=int, default=None)
     p.add_argument("-n", type=int, default=None)
-    common(p, builds_lattices=True)
+    common(p)
     p.set_defaults(fn=cmd_flags)
 
     p = sub.add_parser("cdindex", help="cd-index of a family member")
@@ -355,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, default=None)
     p.add_argument("--coeff", default=None,
                    help="extract one coefficient, e.g. c2dc2")
-    common(p, builds_lattices=True)
+    common(p)
     p.set_defaults(fn=cmd_cdindex)
 
     p = sub.add_parser("convolve", help="convolution of two flag forms")

@@ -11,7 +11,8 @@ The S = {} gap (-1, d) case is Euler's relation.  Every index set S of
 A set is sparse when it has no offender, an element p with p + 1 in S or
 p = d - 1.  One relation holds f_S, for p the smallest offender, with
 coefficient +-1, so solving it for f_S and recursing rewrites f_S over the
-Fibonacci-sized sparse basis with integer coefficients.
+Fibonacci-sized sparse basis with integer coefficients.  ``sparse_basis(d)``
+lists its sets in the same order without enumerating all 2^d.
 """
 
 import itertools
@@ -185,7 +186,17 @@ def sparse_basis(d: int) -> tuple[tuple[int, ...], ...]:
     """
     if d < 0:
         raise InvalidParams(f"dimension must be >= 0, got {d}")
-    return tuple(S for S in index_sets(d) if _min_offender(S, d) is None)
+
+    def spaced(start, k):
+        # the k-subsets of start..d-2 with no two consecutive, lexicographically
+        if k == 0:
+            yield ()
+            return
+        for s in range(start, d - 2 * k + 1):
+            for rest in spaced(s + 2, k - 1):
+                yield (s,) + rest
+
+    return tuple(S for k in range(d // 2 + 1) for S in spaced(0, k))
 
 
 def _min_offender(S: tuple[int, ...], d: int):
@@ -212,15 +223,22 @@ def gds_pairs(d: int) -> tuple:
 
 
 def gds_relation(S, gap: tuple[int, int], d: int) -> dict[tuple[int, ...], int]:
-    """Coefficients of one relation, as a combination that must vanish."""
-    S = tuple(sorted(set(S)))
+    """Coefficients of one relation, as a combination that must vanish.
+
+    ``gap`` must be two consecutive elements of (-1,) + S + (d,) at least 2
+    apart, as ``gds_pairs`` gives them; anything else raises InvalidParams.
+    """
+    S = index_set(S, d)
+    bounds = (-1,) + S + (d,)
     i, k = gap
-    combo: dict[tuple[int, ...], int] = {}
-    for j in range(i + 1, k):
-        T = tuple(sorted(S + (j,)))
-        combo[T] = combo.get(T, 0) + (-1) ** (j - i - 1)
-    combo[S] = combo.get(S, 0) - (1 - (-1) ** (k - i - 1))
-    return {T: c for T, c in combo.items() if c}
+    if (i, k) not in zip(bounds, bounds[1:]) or k - i < 2:
+        raise InvalidParams(
+            f"{gap} is not a gap of index set {S} for d={d}: need consecutive"
+            f" elements of {bounds} at least 2 apart")
+    combo = {tuple(sorted(S + (j,))): (-1) ** (j - i - 1) for j in range(i + 1, k)}
+    if (k - i) % 2 == 0:
+        combo[S] = -2
+    return combo
 
 
 def gds_residuals(v: FlagVector) -> list:

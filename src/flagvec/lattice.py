@@ -29,7 +29,7 @@ import os
 
 from .errors import DeskScaleExceeded, FaceNotInLattice, InvalidParams
 from .families import cyclic_f
-from .flagalg import FlagVector, FVector, index_sets
+from .flagalg import FlagVector, FVector, index_set, index_sets
 from .rational import is_json_int
 
 MAX_DIMENSION = 8
@@ -233,10 +233,7 @@ class FaceLattice:
 
     def flag_number(self, S) -> int:
         """Number of chains of faces whose rank set is exactly S."""
-        S = tuple(sorted(set(S)))
-        if S and not (0 <= S[0] and S[-1] < self.d):
-            raise InvalidParams(f"rank set {S} outside 0..{self.d - 1}")
-        return self.flag_vector().get(S)
+        return self.flag_vector().get(index_set(S, self.d))
 
     def flag_vector(self) -> FlagVector:
         """All 2^d flag numbers, in one pass over the ranks.
@@ -471,35 +468,40 @@ def build_simplex(d: int) -> FaceLattice:
     return FaceLattice(d, faces)
 
 
-def _gale_even(sub: tuple[int, ...], n: int) -> bool:
-    # any two elements outside sub must have an even number of elements of
-    # sub strictly between them; consecutive outside pairs suffice
-    inside = set(sub)
-    outside = [i for i in range(n) if i not in inside]
-    for x, y in zip(outside, outside[1:]):
-        if sum(1 for s in sub if x < s < y) % 2 == 1:
-            return False
-    return True
+def _gale_facets(d: int, n: int):
+    """The d-subsets of 0..n-1 obeying Gale's evenness condition, read as
+    runs of consecutive vertices: a run from 0 or to n - 1 may have any
+    length, every other run is even and is laid down as adjacent pairs."""
+    def runs(start, k):
+        # the k-subsets of start..n-1 whose runs are even, but for one
+        # ending at n - 1: a pair (s, s + 1) first, or that run alone
+        for s in range(start, n - k) if k >= 2 else ():
+            for rest in runs(s + 2, k - 2):
+                yield (s, s + 1) + rest
+        if start <= n - k:
+            yield tuple(range(n - k, n))
+
+    yield from runs(0, d)  # the run from 0, if any, is even
+    for rest in runs(1, d - 1):  # the run from 0 is odd
+        yield (0,) + rest
 
 
 def build_cyclic(d: int, n: int) -> FaceLattice:
     """Cyclic d-polytope on n vertices via Gale's evenness condition.
 
     Facets are the d-subsets S of the vertex line 0 < 1 < ... < n-1 such that
-    any two vertices outside S have evenly many elements of S between them;
-    all proper faces are subsets of facets since the polytope is simplicial.
+    any two vertices outside S have evenly many elements of S between them
+    (Gale 1963; Ziegler, Lectures on Polytopes, Thm 0.7).  They are generated
+    run by run (``_gale_facets``), so no other subset is tested; all proper
+    faces are subsets of facets since the polytope is simplicial.  The only
+    refusals are the dimension bound and the face budget, which is checked
+    against the closed-form face count before any facet is made.
     """
     _check_dim(d, 2)
     if n <= d:
         raise InvalidParams(f"cyclic polytope needs n >= d+1, got n={n}, d={d}")
-    # refuse from the closed-form face count, before any facet is tested
     _check_face_budget(sum(cyclic_f(d, n)) + 2)
-    if math.comb(n, d) > 5 * 10**6:
-        raise DeskScaleExceeded(
-            f"facet enumeration over C({n},{d}) subsets is out of budget")
-    facets = [sub for sub in itertools.combinations(range(n), d)
-              if _gale_even(sub, n)]
-    return _simplicial_lattice(d, n, facets)
+    return _simplicial_lattice(d, n, _gale_facets(d, n))
 
 
 def build_cube(d: int) -> FaceLattice:

@@ -174,7 +174,8 @@ def test_convolve_refuses_a_malformed_form(capsys, form):
 
 def test_options_a_command_would_ignore_are_refused():
     for argv in (["check", "8,28,52,50,20", "--seed", "1"],
-                 ["convolve", "g0@1", "g1@2", "--cache-dir", "x"]):
+                 ["convolve", "g0@1", "g1@2", "--cache-dir", "x"],
+                 ["flags", "simplex", "-d", "2", "--cache-dir", "x"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -256,28 +257,6 @@ def test_a_json_key_cannot_spell_an_element_above_9(capsys):
     assert "(9, 10)" in err
 
 
-def test_lattice_cache_round_trip(tmp_path, capsys):
-    args = ("flags", "cyclic", "-d", "5", "-n", "7", "--no-meta",
-            "--cache-dir", str(tmp_path))
-    _, first, _ = run(capsys, *args)
-    assert (tmp_path / "cyclic-d5-n7.json").exists()
-    _, second, _ = run(capsys, *args)  # served from the cache file
-    assert first == second
-    assert [p.name for p in tmp_path.iterdir()] == ["cyclic-d5-n7.json"]
-
-
-@pytest.mark.parametrize("doc", ['{"d": 2, "faces": 5}', '{"d": true, "faces": []}',
-                                 '{"d": 2, "faces": [{"rank": "0"}]}', '{"d": 2'])
-def test_a_malformed_cache_file_is_refused_by_name(tmp_path, capsys, doc):
-    path = tmp_path / "simplex-d2-nNone.json"
-    path.write_text(doc)
-    code, out, err = run(capsys, "flags", "simplex", "-d", "2",
-                         "--cache-dir", str(tmp_path))
-    assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith(f"error: cache file {path}: ")
-
-
 def test_outputs_are_deterministic(capsys):
     _, first, _ = run(capsys, "scan", "logconv7", "--n", "8..12")
     _, second, _ = run(capsys, "scan", "logconv7", "--n", "8..12")
@@ -285,17 +264,6 @@ def test_outputs_are_deterministic(capsys):
     _, a, _ = run(capsys, "candidates", "6", "--ell", "3")
     _, b, _ = run(capsys, "candidates", "6", "--ell", "3")
     assert a == b
-
-
-def test_a_huge_vertex_label_in_a_cache_file_is_read(tmp_path, capsys):
-    big = 2 ** 70  # 1180591620717411303424
-    (tmp_path / "simplex-d0-nNone.json").write_text(json.dumps(
-        {"d": 0, "faces": [{"rank": -1, "vertices": []},
-                           {"rank": 0, "vertices": [big]}]}))
-    code, out, err = run(capsys, "flags", "simplex", "-d", "0", "--no-meta",
-                         "--cache-dir", str(tmp_path))
-    assert code == 0 and err == ""
-    assert out == run(capsys, "flags", "simplex", "-d", "0", "--no-meta")[1]
 
 
 @pytest.mark.parametrize("value", [

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from flagvec import (
     sparse_basis,
 )
 from flagvec.flagalg import (
+    _min_offender,
     index_sets,
     is_sparse,
     parse_sparse_json,
@@ -58,6 +60,32 @@ def test_gds_relation_examples():
     # 1 - (-1)^d survives only in odd dimension
     assert gds_relation((), (-1, 4), 4) == {(0,): 1, (1,): -1, (2,): 1, (3,): -1}
     assert gds_relation((), (-1, 3), 3) == {(0,): 1, (1,): -1, (2,): 1, (): -2}
+
+
+@pytest.mark.parametrize("S, gap", [((), (3, 1)), ((2,), (0, 4))])
+def test_gds_relation_refuses_what_is_not_a_gap(S, gap):
+    # (3, 1) runs backwards, and 0 lies inside the gap (-1, 2) of {2}
+    with pytest.raises(InvalidParams, match=re.escape(f"{gap} is not a gap")):
+        gds_relation(S, gap, 4)
+
+
+def test_gds_relation_accepts_every_gap_of_gds_pairs():
+    for d in range(0, 9):
+        for S, gap in gds_pairs(d):
+            assert all(isinstance(c, int) for c in gds_relation(S, gap, d).values())
+
+
+def test_sparse_basis_is_the_filter_of_every_index_set():
+    for d in range(0, 13):
+        assert sparse_basis(d) == tuple(
+            S for S in index_sets(d) if _min_offender(S, d) is None)
+
+
+def test_sparse_basis_does_not_enumerate_every_index_set():
+    index_sets.cache_clear()
+    sparse_basis.cache_clear()
+    assert len(sparse_basis(20)) == 10946
+    assert index_sets.cache_info().currsize == 0
 
 
 def test_gds_residuals_vanish_on_lattices(small_corpus):

@@ -17,6 +17,7 @@ from flagvec import (
     build_cyclic,
     build_polygon,
     build_simplex,
+    cyclic_f,
     dual,
     quotient,
     toric_g,
@@ -24,7 +25,7 @@ from flagvec import (
 )
 from flagvec import lattice as lattice_module
 from flagvec.flagalg import FlagVector
-from flagvec.lattice import MAX_FACES_ENV, _members
+from flagvec.lattice import MAX_FACES_ENV, _gale_facets, _members
 
 # the triangle whose top face also holds a vertex 3 that lies in no edge
 NON_GRADED = [(-1, []), (0, [0]), (0, [1]), (0, [2]), (0, [3]),
@@ -235,6 +236,29 @@ def test_cyclic_on_minimal_vertices_is_the_simplex():
         assert build_cyclic(d, d + 1) == build_simplex(d)
         assert (build_cyclic(d, d + 1).flag_vector()
                 == build_simplex(d).flag_vector())
+
+
+def _gale_even(sub, n):
+    # the oracle: any two elements outside sub have an even number of
+    # elements of sub strictly between them; consecutive outside pairs suffice
+    inside = set(sub)
+    outside = [i for i in range(n) if i not in inside]
+    return all(sum(1 for s in sub if x < s < y) % 2 == 0
+               for x, y in zip(outside, outside[1:]))
+
+
+def test_cyclic_facets_match_the_gale_scan_oracle():
+    for d in range(2, 9):
+        for n in range(d + 1, d + 9):
+            scan = [sub for sub in itertools.combinations(range(n), d)
+                    if _gale_even(sub, n)]
+            assert sorted(_gale_facets(d, n)) == scan, (d, n)
+
+
+@pytest.mark.parametrize("d, n", [(3, 1000), (5, 60)])
+def test_cyclic_builds_past_the_old_subset_count(d, n):
+    # C(1000, 3) and C(60, 5) subsets are far more than a scan could test
+    assert build_cyclic(d, n).f_vector() == cyclic_f(d, n)
 
 
 def test_cyclic_needs_enough_vertices():
@@ -466,6 +490,7 @@ def test_huge_vertex_labels_behave_like_small_ones():
     assert L.dual().to_json() == triangle.dual().to_json()
     assert L.is_eulerian() and triangle.is_eulerian()
     assert L.rank([big]) == 0
+    assert FaceLattice.from_json(L.to_json()) == L
 
 
 def test_flag_vector_memory_grows_linearly_on_polygons():
@@ -627,10 +652,10 @@ def test_cyclic_is_refused_before_its_facets_are_enumerated(monkeypatch):
     with pytest.raises(DeskScaleExceeded) as from_faces:
         FaceLattice(L.d, L.all_faces())
 
-    def never(sub, n):
-        raise AssertionError("a facet was tested before the face budget")
+    def never(d, n):
+        raise AssertionError("a facet was made before the face budget")
 
-    monkeypatch.setattr(lattice_module, "_gale_even", never)
+    monkeypatch.setattr(lattice_module, "_gale_facets", never)
     with pytest.raises(DeskScaleExceeded) as from_closed_form:
         build_cyclic(4, 7)
     assert str(from_closed_form.value) == str(from_faces.value)
