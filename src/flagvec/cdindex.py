@@ -1,20 +1,21 @@
-"""ab-index and cd-index over an exact coefficient ring, plus the toric h-
+"""ab-index and cd-index over exact rational coefficients, plus the toric h-
 and g-vectors; all of them are read from a flag vector.
 
 The ab-index collects the flag quantities k_S = sum_{T subset S} (-1)^{|S\\T|} f_T
 as coefficients of words in the noncommuting letters a, b (letter b at the
-positions in S).  For Eulerian flag data the polynomial rewrites uniquely in
+positions in S): one Moebius pass per position over every index set turns f
+into k.  For Eulerian flag data the polynomial rewrites uniquely in
 c = a + b and d = ab + ba.  The rewrite peels off the first letter: writing
 P = c*A + d*B, the parts after a leading a and b are A + b*B and A + a*B, so
 their difference fixes B, and A follows.  Every ab-word equation is checked
-on the way, so inconsistency is detected rather than assumed away.  Only +
-and - are used, so the same recursion serves rational and flag-form
-coefficients, that is, the numeric and the symbolic extraction.  The same
-holds for k itself: one Moebius pass per position over every index set turns
-f into k, for numeric flag vectors and for the symbolic flag forms (each f_S
-reduced to the sparse basis) alike.
+on the way, so inconsistency is detected rather than assumed away.
 
-Stanley's toric h-vector is a fixed linear form on the flag vector as well:
+The rewrite is linear, so each cd-coefficient is a linear form on the flag
+vector as well.  Its coefficient at a sparse set B is the numeric
+cd-coefficient of column B of the sparse-basis reduction, the flag data
+whose entry at S is the coefficient of f_B in f_S reduced.
+
+Stanley's toric h-vector is a fixed linear form on the flag vector too:
 its recursion reads only ranks, so toric h sums f_S times one weight vector
 per rank set S, computed once per dimension.
 """
@@ -24,7 +25,7 @@ import re
 from functools import lru_cache
 
 from .errors import DegreeMismatch, InvalidParams, MissingEntry, NotEulerian
-from .flagalg import FlagVector, index_sets, reduce_index
+from .flagalg import FlagVector, index_sets, reduce_index, sparse_basis
 from .forms import FlagForm
 from .rational import normalize, rat_from_str, rat_to_str
 
@@ -71,7 +72,7 @@ class AbPolynomial:
         for word, coeff in terms.items():
             if len(word) != degree or any(ch not in "ab" for ch in word):
                 raise InvalidParams(f"bad ab-word {word!r} for degree {degree}")
-            if not _ring_zero(coeff):
+            if coeff != 0:
                 clean[word] = coeff
         self.terms = clean
 
@@ -98,7 +99,7 @@ class CdPolynomial:
         for word, coeff in terms.items():
             if cd_degree(word) != degree:
                 raise DegreeMismatch(f"{word!r} has degree {cd_degree(word)}, not {degree}")
-            if not _ring_zero(coeff):
+            if coeff != 0:
                 clean[word] = coeff
         self.terms = clean
 
@@ -192,13 +193,7 @@ def _parse_terms(text: str):
 
 
 # ----------------------------------------------------------------------
-# coefficients are Fractions/ints or FlagForms
-
-
-def _ring_zero(x) -> bool:
-    if isinstance(x, FlagForm):
-        return x.is_zero()
-    return x == 0
+# ab-index and the cd rewrite
 
 
 def _sub(p: dict, q: dict) -> dict:
@@ -206,11 +201,7 @@ def _sub(p: dict, q: dict) -> dict:
     out = dict(p)
     for w, c in q.items():
         out[w] = out[w] - c if w in out else -c
-    return {w: c for w, c in out.items() if not _ring_zero(c)}
-
-
-# ----------------------------------------------------------------------
-# ab-index and the cd rewrite
+    return {w: c for w, c in out.items() if c != 0}
 
 
 def _ab_terms(f, d: int) -> dict:
@@ -234,14 +225,6 @@ def ab_index(v: FlagVector) -> AbPolynomial:
         raise MissingEntry("the ab-index needs all flag entries")
     terms = _ab_terms(v.get, v.d)
     return AbPolynomial(v.d, {w: normalize(k) for w, k in terms.items()})
-
-
-@lru_cache(maxsize=None)
-def symbolic_ab_index(d: int) -> AbPolynomial:
-    """ab-index with flag-form coefficients over the sparse basis, so that
-    the cd rewrite holds exactly in those coordinates: each f_S enters
-    reduced, and differences of reduced forms stay reduced."""
-    return AbPolynomial(d, _ab_terms(lambda S: FlagForm(d, reduce_index(S, d)), d))
 
 
 def _after(terms: dict, letter: str) -> dict:
@@ -295,8 +278,16 @@ def cd_coefficient(source, word: str):
 
 
 @lru_cache(maxsize=None)
-def _symbolic_cd_index(d: int) -> CdPolynomial:
-    return ab_to_cd(symbolic_ab_index(d))
+def _symbolic_cd_index(d: int) -> dict[str, FlagForm]:
+    """cd-word -> its flag form over the sparse basis.  The coefficient at f_B
+    is the cd-coefficient of column B, the flag data whose entry at S is f_B's
+    coefficient in f_S reduced; it satisfies every relation, so it peels."""
+    reduced = {S: reduce_index(S, d) for S in index_sets(d)}
+    coeffs: dict[str, dict] = {u: {} for u in cd_words(d)}
+    for B in sparse_basis(d):
+        for u, c in _peel(_ab_terms(lambda S: reduced[S].get(B, 0), d), d).items():
+            coeffs[u][B] = c
+    return {u: FlagForm(d, form) for u, form in coeffs.items()}
 
 
 def cd_word_to_flag_form(word: str, d: int) -> FlagForm:
@@ -304,10 +295,7 @@ def cd_word_to_flag_form(word: str, d: int) -> FlagForm:
     cd-coefficient of the word; returned reduced to the sparse basis."""
     if cd_degree(word) != d:
         raise DegreeMismatch(f"{word!r} has degree {cd_degree(word)}, need {d}")
-    form = _symbolic_cd_index(d).coefficient(word)
-    if isinstance(form, FlagForm):
-        return form
-    return FlagForm(d, {(): form})
+    return _symbolic_cd_index(d)[word]
 
 
 def stanley_nonneg_check(lattice) -> bool:

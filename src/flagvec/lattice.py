@@ -53,7 +53,8 @@ def max_faces() -> int:
 
 
 def _check_face_budget(total: int):
-    """Refuse a lattice of ``total`` faces when it exceeds the budget."""
+    """Refuse a lattice of ``total`` faces when it exceeds the budget; the
+    builders call it with their closed-form face count before any face."""
     budget = max_faces()
     if total > budget:
         raise DeskScaleExceeded(
@@ -460,6 +461,7 @@ def _simplicial_lattice(d: int, n: int, facets) -> FaceLattice:
 def build_simplex(d: int) -> FaceLattice:
     """Face lattice of the d-simplex: all subsets of d+1 vertices."""
     _check_dim(d, 0)
+    _check_face_budget(2 ** (d + 1))
     verts = range(d + 1)
     faces = []
     for size in range(0, d + 2):
@@ -513,6 +515,7 @@ def build_cube(d: int) -> FaceLattice:
     submasks s of ``free``.
     """
     _check_dim(d, 1)
+    _check_face_budget(3 ** d + 1)
     full = (1 << d) - 1
     faces: list[tuple[int, list[int]]] = [(-1, [])]
     for free in range(full + 1):
@@ -540,6 +543,7 @@ def build_crosspolytope(d: int) -> FaceLattice:
     exactly the vertex sets avoiding every antipodal pair.
     """
     _check_dim(d, 1)
+    _check_face_budget(3 ** d + 1)
     faces: list[tuple[int, tuple[int, ...]]] = [(-1, ()), (d, tuple(range(2 * d)))]
     for axes in index_sets(d)[1:]:
         for signs in itertools.product((0, 1), repeat=len(axes)):
@@ -551,6 +555,7 @@ def build_polygon(n: int) -> FaceLattice:
     """Face lattice of the n-gon."""
     if n < 3:
         raise InvalidParams(f"polygon needs at least 3 vertices, got {n}")
+    _check_face_budget(2 * n + 2)
     faces: list[tuple[int, tuple[int, ...]]] = [(-1, ()), (2, tuple(range(n)))]
     for i in range(n):
         faces.append((0, (i,)))

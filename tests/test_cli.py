@@ -2,10 +2,22 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from flagvec import (
+    FaceLattice,
+    InvalidParams,
+    build_crosspolytope,
+    build_cube,
+    build_cyclic,
+    build_polygon,
+    build_simplex,
+)
 from flagvec.cli import main
+from flagvec.lattice import MAX_FACES_ENV
 
-# verify-paper --no-meta --seed 7 as text and as JSON, and the outputs that
+# verify-paper --no-meta --seed 7 as JSON, and the outputs that
 # test_outputs_match_the_goldens names
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -241,6 +253,7 @@ def test_verify_paper_json_passes(capsys):
     ("candidates_6_ell9.json", ("candidates", "6", "--ell", "9")),
     ("candidates_7.json", ("candidates", "7")),
     ("cdindex_simplex_8.json", ("cdindex", "simplex", "-d", "8")),
+    ("verify_paper_seed7.txt", ("verify-paper", "--seed", "7")),
 ])
 def test_outputs_match_the_goldens(capsys, golden, argv):
     code, out, _ = run(capsys, *argv, "--no-meta")
@@ -276,3 +289,113 @@ def test_a_malformed_face_budget_is_refused_by_name(monkeypatch, capsys, value):
     code, out, err = run(capsys, "generate", "cube", "-d", "3")
     assert code == 2 and out == ""
     assert err == f"error: FLAGVEC_MAX_FACES must be a decimal integer >= 1, got {value!r}\n"
+
+
+# ----------------------------------------------------------------------
+# refusals under fuzzing: JSON objects only, since argparse reads a bare
+# negative number as an option.  Most inputs are near a valid one, so the
+# checks behind the shape checks are reached too.
+
+NUMBERS = st.integers(-9, 400) | st.sampled_from(
+    ["1/2", "-3/4", "1/0", "0/5", "007", "1e3", " 1", "\u0663", "9" * 30])
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=False, allow_infinity=False)
+                | st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+SET_KEYS = (st.lists(st.integers(0, 9), max_size=4, unique=True).map(
+    lambda S: "".join(map(str, sorted(S))))
+    | st.text("0123456789", max_size=4) | st.text(max_size=3))
+# the budget refuses the last seed lattice, cross(4) with 82 faces
+FACE_BUDGET = "50"
+SEED_LATTICES = [json.loads(L.to_json()) for L in (
+    build_simplex(0), build_simplex(1), build_simplex(3), build_polygon(5),
+    build_cube(3), build_crosspolytope(3), build_cyclic(3, 6),
+    build_crosspolytope(4))]
+FUZZ = settings(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _mostly(valid, noise=JSON_SCALARS):
+    """valid three times in four, else noise (a | b would weigh every
+    alternative of a flattened one_of alike)."""
+    return st.integers(0, 3).flatmap(lambda k: valid if k else noise)
+
+
+def _objects(near_valid):
+    return _mostly(near_valid, st.dictionaries(
+        st.sampled_from(["d", "f", "coeffs", "faces", "x"]), JSON_VALUES, max_size=3))
+
+
+FACE_FIELDS = {"rank": _mostly(st.integers(-2, 5)),
+               "vertices": st.lists(_mostly(st.integers(-1, 9)), max_size=5)}
+
+
+@st.composite
+def _lattice_documents(draw):
+    """A seed lattice's document with up to three faults put in."""
+    doc = dict(draw(st.sampled_from(SEED_LATTICES)))
+    faces = doc["faces"] = list(doc["faces"])
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(faces) - 1))
+        fault = draw(st.sampled_from(["drop", "copy", "rank", "vertices", "face", "d"]))
+        if fault == "drop":
+            del faces[i]
+        elif fault == "copy":
+            faces.append(faces[i])
+        elif fault in FACE_FIELDS and isinstance(faces[i], dict):
+            faces[i] = {**faces[i], fault: draw(FACE_FIELDS[fault])}
+        elif fault == "face":
+            faces[i] = draw(JSON_VALUES)
+        elif fault == "d":
+            doc["d"] = draw(_mostly(st.integers(-1, 9)))
+        if not faces:
+            break
+    return doc
+
+
+def _exit_0_or_one_error_line(capsys, *argv):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(MAX_FACES_ENV, FACE_BUDGET)
+        code, out, err = run(capsys, *argv)
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2 and out == "", (code, err)
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+@FUZZ
+@given(doc=_objects(st.fixed_dictionaries({
+           "d": _mostly(st.integers(-1, 7)),
+           "coeffs": st.dictionaries(SET_KEYS, _mostly(NUMBERS), max_size=4)})),
+       right=st.sampled_from(["g0@0", "g1@2"]))
+def test_convolve_exits_0_or_refuses_in_one_line(capsys, doc, right):
+    _exit_0_or_one_error_line(capsys, "convolve", json.dumps(doc), right)
+
+
+@FUZZ
+@given(doc=_objects(st.fixed_dictionaries({
+    "f": _mostly(st.lists(st.integers(-2, 400) | st.integers(0, 400).map(str),
+                          max_size=8), JSON_VALUES)})))
+def test_check_file_exits_0_or_refuses_in_one_line(capsys, tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "check-fuzz.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    _exit_0_or_one_error_line(capsys, "check", f"@{path}")
+
+
+@FUZZ
+@given(doc=_objects(_lattice_documents()))
+def test_lattice_documents_are_read_or_refused_in_one_line(doc):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(MAX_FACES_ENV, FACE_BUDGET)
+        try:
+            L = FaceLattice.from_json(json.dumps(doc))
+        except InvalidParams as exc:
+            assert len(str(exc).splitlines()) == 1, exc
+            return
+    L.flag_vector()
+    L.is_eulerian()

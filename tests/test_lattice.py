@@ -665,6 +665,23 @@ def test_cyclic_is_refused_before_its_facets_are_enumerated(monkeypatch):
         build_cyclic(8, 25)
 
 
+
+@pytest.mark.parametrize("build, arg", [
+    (build_polygon, 7), (build_cube, 3), (build_crosspolytope, 3), (build_simplex, 3)])
+def test_families_are_refused_before_any_face_is_made(monkeypatch, build, arg):
+    L = build(arg)
+    monkeypatch.setenv(MAX_FACES_ENV, str(L.face_count() - 1))
+    with pytest.raises(DeskScaleExceeded) as from_faces:
+        FaceLattice(L.d, L.all_faces())
+
+    def never(d, faces):
+        raise AssertionError("a lattice was made before the face budget")
+
+    monkeypatch.setattr(lattice_module, "FaceLattice", never)
+    with pytest.raises(DeskScaleExceeded) as from_closed_form:
+        build(arg)
+    assert str(from_closed_form.value) == str(from_faces.value)
+
 def test_lattice_validation():
     with pytest.raises(InvalidParams):
         FaceLattice(1, [(0, (0,)), (1, (0, 1))])  # no empty face
