@@ -8,14 +8,19 @@ Everything here reads one exact inclusion incidence, ``_above``: per rank,
 each vertex has a bitset of the faces of that rank holding it, and the faces
 over a face are the AND of its vertices' bitsets.  Every bitset is a window
 ``(first, bits)`` stored from its first face on, so a face with few faces over
-it costs few bits however many faces the lattice has.  ``flag_vector`` adds
-each face's chain counts, packed into one int, into the faces of its windows,
-rank by rank, and is the lattice's only chain sweep: the invariants that are
-linear forms on the flag vector are read from it by ``cdindex``;
-``is_eulerian`` ANDs windows over and under the two ends of each interval of
-even rank gap; ``dual`` reads each face's window of facets, ``interval`` the
-windows of its lower end.  This enumeration makes the module the ground truth
-every closed form is tested against.
+it costs few bits however many faces the lattice has.  ``flag_vector`` is the
+lattice's only chain sweep: rank by rank, the faces with equal chain counts
+(packed into one int) form a group, and each face over them gets a group's
+count once, times how many of the group lie under it, counted for all faces
+at once with bit-sliced counters; windows that hold few faces for their span
+are peeled face by face instead.  The invariants that are linear forms on the
+flag vector are read from it by ``cdindex``.  ``is_eulerian`` ANDs windows
+over and under the two ends of each interval of even rank gap, and counts the
+one window of the other end when an end is the empty face or the top;
+``dual`` reads each face's window of facets; ``interval`` tests the faces in
+the windows of its lower end, or for a restriction those meeting its upper
+end.  This enumeration makes the module the ground truth every closed form is
+tested against.
 
 All counts are Python ints, so nothing overflows; lattices are immutable after
 construction and the internal caches are only ever filled, never invalidated,
@@ -26,6 +31,7 @@ import itertools
 import json
 import math
 import os
+import sys
 
 from .errors import DeskScaleExceeded, FaceNotInLattice, InvalidParams
 from .families import cyclic_f
@@ -35,6 +41,10 @@ from .rational import is_json_int
 MAX_DIMENSION = 8
 DEFAULT_MAX_FACES = 10**6
 MAX_FACES_ENV = "FLAGVEC_MAX_FACES"
+# flag_vector: a Python step peeling one face off a window costs about as
+# much as C-level bit operations over this many bits, and adding a window to
+# a bit-sliced counter costs about two such steps
+_PEEL_STEP_BITS = 1000
 
 
 def max_faces() -> int:
@@ -232,6 +242,17 @@ class FaceLattice:
             out.append((first, bits))
         return out
 
+    def _meeting(self, face, b: int) -> tuple[int, int]:
+        """The rank-b faces sharing a vertex with ``face``, as a window: the
+        OR of its vertices' rank-b windows."""
+        windows = self._vertex_windows(b)
+        spans = [windows[v] for v in face if v in windows]
+        first = min((start for start, _ in spans), default=0)
+        bits = 0
+        for start, vbits in spans:
+            bits |= vbits << (start - first)
+        return first, bits
+
     def flag_number(self, S) -> int:
         """Number of chains of faces whose rank set is exactly S."""
         return self.flag_vector().get(index_set(S, self.d))
@@ -246,6 +267,12 @@ class FaceLattice:
         field S of the sum over all x.  No f_S exceeds the product of the
         nonzero face counts, so W = that product's bit length + 1 never lets
         a field carry into the next.
+
+        The faces of a rank with equal chain counts form a group, and each
+        face y above gets a group's count once, times its multiplicity: how
+        many of the group's faces lie under y (``_push``).  On the builders'
+        lattices every lower interval is a simplex or a cube, so each rank is
+        one group; duals of cyclic polytopes have a few per rank.
         """
         if self._flags is not None:
             return self._flags
@@ -255,23 +282,59 @@ class FaceLattice:
         acc = [[0] * n for n in sizes]
         total = 0
         for a in range(d):
-            chains = [(1 + below) << (width << a) for below in acc[a]]
-            acc[a] = None  # freed before the next ranks' sums grow: lower peak
+            chains, acc[a] = acc[a], None  # each sum is freed as its count is made
+            for x, below in enumerate(chains):
+                chains[x] = (1 + below) << (width << a)
             total += sum(chains)
+            if a == d - 1:
+                break  # the top proper rank pushes nowhere
+            group = {}  # chain count -> group number, in order of first face
+            group_of = [group.setdefault(count, len(group)) for count in chains]
+            counts = list(group)
             for b in range(a + 1, d):
-                into = acc[b]
-                for count, (first, bits) in zip(chains, self._above(a, b)):
-                    while bits:  # peel the lowest set bit, face first + k - 1
-                        k = (bits & -bits).bit_length()
-                        first += k
-                        into[first - 1] += count
-                        bits >>= k
+                self._push(a, b, counts, group_of, acc[b])
         field = (1 << width) - 1
         entries = {(): 1}
         for S in sorted(index_sets(d)[1:]):
             entries[S] = total >> (width * sum(1 << s for s in S)) & field
         self._flags = FlagVector(d, entries)
         return self._flags
+
+    def _push(self, a: int, b: int, counts: list[int], group_of, into: list[int]):
+        """Add counts[g] into into[y] for each rank-a face of group g and
+        each rank-b face y over it.
+
+        A window goes into its group's bit-sliced counter when it holds at
+        least 2 + s / _PEEL_STEP_BITS faces, s = first + its bit length being
+        the bits it spans once aligned.
+        Plane i of a counter holds bit i of every rank-b face's multiplicity,
+        so adding a window is a ripple of C-level XORs and ANDs over the
+        planes, and each group adds count * m once per face y, m read off
+        its planes.  Any other window (a polygon's, or one spanning far more
+        faces than it holds) adds its count face by face, peeling its bits.
+        """
+        planes = [[] for _ in counts]
+        for g, (first, bits) in zip(group_of, self._above(a, b)):
+            if (bits.bit_count() - 2) * _PEEL_STEP_BITS >= first + bits.bit_length():
+                carry, counter = bits << first, planes[g]
+                for i, plane in enumerate(counter):  # ripple-carry add
+                    counter[i], carry = plane ^ carry, plane & carry
+                    if not carry:
+                        break
+                else:
+                    counter.append(carry)
+                continue
+            count = counts[g]
+            while bits:  # peel the lowest set bit, face first + k - 1
+                k = (bits & -bits).bit_length()
+                first += k
+                into[first - 1] += count
+                bits >>= k
+        for count, counter in zip(counts, planes):
+            if counter:
+                for y, m in enumerate(_multiplicities(counter)):
+                    if m:
+                        into[y] += count * m
 
     # ------------------------------------------------------------------
     # derived lattices
@@ -286,11 +349,14 @@ class FaceLattice:
         rl, ru = self.rank(lower), self.rank(upper)
         if not (rl < ru and lower <= upper):
             raise InvalidParams("interval requires lower < upper")
-        members = []  # (rank, face) for the faces over lower inside upper
-        for r in range(rl, ru + 1):
+        # (rank, face) for the faces over lower inside upper, tested among
+        # the faces over lower, or for a restriction the faces meeting upper
+        members = [(rl, lower)]
+        for r in range(rl + 1, ru + 1):
             level = self._ranks[r + 1]
-            members += [(r, level[j]) for j in _members(*self._above(rl, r, [lower])[0])
-                        if level[j] <= upper]
+            window = (self._above(rl, r, [lower])[0] if lower
+                      else self._meeting(upper, r))
+            members += [(r, level[j]) for j in _members(*window) if level[j] <= upper]
         # the interval's vertices are its atoms, numbered in the order of
         # their vertex labels read from the largest down; an atom lies in a
         # member when the member holds all of its vertices beyond lower
@@ -345,16 +411,19 @@ class FaceLattice:
         Faces z strictly between x and y are counted rank by rank, as the AND
         of x's window of rank-c faces over it and y's window of rank-c faces
         under it; both are stored from their first face on, so memory stays
-        linear on lattices whose windows are narrow.
+        linear on lattices whose windows are narrow.  When x is the empty face
+        or y the top, its window is the whole rank, so the other end's window
+        is counted alone.
         """
         d = self.d
         above = {(a, b): self._above(a, b)
-                 for a in range(-1, d + 1) for b in range(a + 1, d + 1)}
+                 for a in range(-1, d) for b in range(a + 1, d)}
         for b in range(1, d + 1):
             # below[c][y]: the rank-c faces under rank-b face y as a window,
-            # filled in increasing c-index so that its first face comes first
+            # filled in increasing c-index so that its first face comes first;
+            # the intervals to the top do not read it
             below = {}
-            for c in range((b + 1) % 2, b):  # the ranks inside an even gap
+            for c in range((b + 1) % 2, b) if b < d else ():  # inside even gaps
                 firsts = [0] * len(self._ranks[b + 1])
                 masks = [0] * len(self._ranks[b + 1])
                 for z, (first, bits) in enumerate(above[c, b]):
@@ -370,6 +439,17 @@ class FaceLattice:
             for a in range(b - 2, -2, -2):
                 # faces at odd distance from x count +1, at even distance -1;
                 # with the ends x and y the interval balances when the sum is 2
+                if a == -1 or b == d:
+                    # over the empty face or under the top, the faces between
+                    # are the other end's window alone: count it, shift nothing
+                    balance = [0] * len(self._ranks[(a if b == d else b) + 1])
+                    for c in range(a + 1, b):
+                        sign = 1 if (c - a) % 2 else -1
+                        balance = [t + sign * bits.bit_count() for t, (_, bits)
+                                   in zip(balance, above[a, c] if b == d else below[c])]
+                    if any(t != 2 for t in balance):
+                        return False
+                    continue
                 odd = [(above[a, c], below[c]) for c in range(a + 1, b, 2)]
                 even = [(above[a, c], below[c]) for c in range(a + 2, b, 2)]
                 for x, (first, bits) in enumerate(above[a, b]):
@@ -425,6 +505,23 @@ class FaceLattice:
                 f'face {k} must be {{"rank": integer, "vertices": [integer >= 0,'
                 f' ...]}}, got {json.dumps(face)}')
         return cls(d, out)
+
+
+def _multiplicities(planes: list[int]) -> memoryview:
+    """Read a bit-sliced counter: entry y is the sum of bit y of planes[i]
+    times 2^i.  Each plane is spread to one field per bit by C-level string
+    and int conversions, so no Python step is taken per bit."""
+    size, code = next((size, code) for size, code in ((1, "B"), (2, "H"),
+                                                      (4, "I"), (8, "Q"))
+                      if 8 * size >= len(planes))
+    zero, one = bytes(size), bytes(size - 1) + b"\1"
+    packed = sum(int.from_bytes(format(plane, "b").encode()
+                                .replace(b"0", zero).replace(b"1", one), "big") << i
+                 for i, plane in enumerate(planes))
+    n = max(plane.bit_length() for plane in planes)
+    # native byte order for cast; big-endian bytes hold the last field first
+    fields = memoryview(packed.to_bytes(n * size, sys.byteorder)).cast(code)
+    return fields if sys.byteorder == "little" else fields[::-1]
 
 
 def _members(first: int, bits: int) -> list[int]:

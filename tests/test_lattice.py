@@ -316,12 +316,29 @@ def test_dual_and_eulerian_match_the_oracles(small_corpus):
         assert L.is_eulerian() == _is_eulerian_oracle(masks), L
 
 
+def _single_face_deletions(L, rng, count):
+    """``count`` lattices that are L less one proper face of rank >= 1."""
+    faces = list(L.all_faces())
+    # a vertex, the empty face or the top cannot go alone
+    proper = [f for r, f in faces if 0 < r < L.d]
+    return [FaceLattice(L.d, [(r, f) for r, f in faces if f != removed])
+            for removed in rng.sample(proper, count)]
+
+
 def test_flag_vector_matches_the_all_pairs_chain_oracle(small_corpus):
     # a field width from the product of the face counts, 0 on EMPTY_RANK,
     # would be one bit wide and let its f_0 = 3 carry into f_1
     empty_rank = FaceLattice(2, EMPTY_RANK)
     assert empty_rank.flag_number((0,)) == 3
-    for L in [*_oracle_lattices(small_corpus), empty_rank]:
+    # duals of cyclic polytopes have several chain counts per rank, single
+    # face deletions put bit-sliced and peeled windows into one group, and
+    # FALSE_SIMPLICES and the polygon peel every window
+    rng = random.Random(13)
+    for L in [*_oracle_lattices(small_corpus), empty_rank,
+              dual(build_cyclic(6, 10)), dual(build_cyclic(7, 10)),
+              FaceLattice(5, FALSE_SIMPLICES),
+              *_single_face_deletions(build_cube(4), rng, 4),
+              *_single_face_deletions(build_cyclic(5, 8), rng, 4)]:
         want = _flag_vector_oracle(L, _masks(L))
         got = L.flag_vector()
         assert got == want, L
