@@ -3,7 +3,9 @@
 Subcommands: generate, check, flags, cdindex, convolve, candidates, scan,
 verify-paper.  All exact numbers are printed as decimal-digit strings or
 "p/q"; decimal columns are explicitly marked approximate.  Output is
-deterministic for fixed arguments, so it can be golden-tested.
+deterministic for fixed arguments, so it can be golden-tested.  Bad input
+exits 2 with one ``error:`` line; a face count, inline or in a file, and the
+D of g0@D and g1@D must be strings of ASCII decimal digits.
 """
 
 import argparse
@@ -17,35 +19,45 @@ from . import families, flagalg, forms, lattice, verify
 from .errors import DegreeMismatch, FlagVecError, InvalidParams, NotEulerian
 from .rational import approx_str, is_json_int, rat_to_str
 
-FAMILIES = ("simplex", "cube", "crosspolytope", "cyclic", "polygon", "p7n")
+# Each family's builder and the options it takes, in argument order.  Every
+# builder gives a face lattice except families.p7n, which gives an f-vector.
+FAMILIES = {
+    "simplex": (lattice.build_simplex, ("d",)),
+    "cube": (lattice.build_cube, ("d",)),
+    "crosspolytope": (lattice.build_crosspolytope, ("d",)),
+    "cyclic": (lattice.build_cyclic, ("d", "n")),
+    "polygon": (lattice.build_polygon, ("n",)),
+    "p7n": (families.p7n, ("n",)),
+}
+LATTICE_FAMILIES = [name for name, (build, _) in FAMILIES.items()
+                    if build is not families.p7n]
 MAX_SCAN_VALUES = 10**5
 
 
-def _meta(args) -> dict:
-    return {} if args.no_meta else {"meta": {"tool": "flagvec", "version": __version__}}
-
-
 def _emit_json(doc: dict, args):
-    print(json.dumps(doc | _meta(args), indent=2))
+    meta = {} if args.no_meta else {"meta": {"tool": "flagvec", "version": __version__}}
+    print(json.dumps(doc | meta, indent=2))
 
 
-def _build_family(family: str, d, n) -> "lattice.FaceLattice":
-    if family == "simplex":
-        _need(d is not None, "simplex needs -d")
-        return lattice.build_simplex(d)
-    if family == "cube":
-        _need(d is not None, "cube needs -d")
-        return lattice.build_cube(d)
-    if family == "crosspolytope":
-        _need(d is not None, "crosspolytope needs -d")
-        return lattice.build_crosspolytope(d)
-    if family == "cyclic":
-        _need(d is not None and n is not None, "cyclic needs -d and -n")
-        return lattice.build_cyclic(d, n)
-    if family == "polygon":
-        _need(n is not None, "polygon needs -n")
-        return lattice.build_polygon(n)
-    raise InvalidParams(f"unknown family {family!r}")
+def _emit(args, doc: dict, header, rows):
+    """doc as JSON, or the header and rows as csv, as --format asks."""
+    if args.format == "csv":
+        print(",".join(header))
+        for row in rows:
+            print(",".join(map(str, row)))
+    else:
+        _emit_json(doc, args)
+
+
+def _build_family(args):
+    """What the family's builder gives for the -d and -n on the command line."""
+    build, options = FAMILIES[args.family]
+    _need(all(getattr(args, opt) is not None for opt in options),
+          f"{args.family} needs " + " and ".join(f"-{opt}" for opt in options))
+    for opt in ("d", "n"):
+        _need(getattr(args, opt) is None or opt in options,
+              f"{args.family} takes no -{opt}")
+    return build(*(getattr(args, opt) for opt in options))
 
 
 def _need(cond: bool, message: str):
@@ -53,25 +65,15 @@ def _need(cond: bool, message: str):
         raise InvalidParams(message)
 
 
-def _family_f_vector(family: str, d, n):
-    if family == "p7n":
-        _need(n is not None, "p7n needs -n")
-        return 7, families.p7n(n)
-    L = _build_family(family, d, n)
-    return L.d, L.f_vector()
-
-
 # ----------------------------------------------------------------------
 # subcommands
 
 
 def cmd_generate(args) -> int:
-    d, f = _family_f_vector(args.family, args.d, args.n)
-    if args.format == "csv":
-        print(",".join(f"f{i}" for i in range(d)))
-        print(",".join(str(c) for c in f))
-    else:
-        _emit_json({"d": d, "f": [str(c) for c in f]}, args)
+    built = _build_family(args)
+    f = [str(c) for c in (built.f_vector() if isinstance(built, lattice.FaceLattice)
+                          else built)]
+    _emit(args, {"d": built.d, "f": f}, [f"f{i}" for i in range(built.d)], [f])
     return 0
 
 
@@ -86,6 +88,8 @@ def _parse_vector(text: str) -> list[int]:
                   f" got {json.dumps(f)}")
             return [int(x) for x in f]
     parts = [p for p in text.replace(" ", "").split(",") if p]
+    for p in parts:
+        _need(_is_count(p), f"face count {p!r} is not a string of decimal digits")
     return [int(p) for p in parts]
 
 
@@ -108,58 +112,39 @@ def cmd_check(args) -> int:
     for i, c in enumerate(f):
         _need(c >= comb(d + 1, i + 1),
               f"f_{i} = {c} is below the simplex minimum {comb(d + 1, i + 1)}")
-    report = families.properties(f)
+    properties = families.properties(f).as_dict()
     doc = {
         "d": d,
         "f": [str(c) for c in f],
         "euler": flagalg.euler_check(f),
-        "properties": report.as_dict(),
+        "properties": properties,
     }
-    if args.format == "csv":
-        print("property,holds,witness")
-        for letter, cell in report.as_dict().items():
-            witness = "" if cell["witness"] is None else cell["witness"]
-            print(f"{letter},{str(cell['holds']).lower()},{witness}")
-    else:
-        _emit_json(doc, args)
+    _emit(args, doc, ["property", "holds", "witness"],
+          [(letter, str(cell["holds"]).lower(),
+            "" if cell["witness"] is None else cell["witness"])
+           for letter, cell in properties.items()])
     return 0
 
 
 def cmd_flags(args) -> int:
-    L = _build_family(args.family, args.d, args.n)
-    v = L.flag_vector()
-    entries = {flagalg.subset_key(S): rat_to_str(val)
-               for S, val in sorted(v.entries.items(),
-                                    key=lambda kv: (len(kv[0]), kv[0]))}
-    if args.format == "csv":
-        print("index_set,value")
-        for key, val in entries.items():
-            print(f"{key},{val}")
-    else:
-        _emit_json({"d": L.d, "entries": entries}, args)
+    doc = json.loads(_build_family(args).flag_vector().to_json())
+    _emit(args, doc, ["index_set", "value"], doc["entries"].items())
     return 0
 
 
 def cmd_cdindex(args) -> int:
-    L = _build_family(args.family, args.d, args.n)
-    word = args.coeff and _normalize_word(args.coeff, L.d)
+    L = _build_family(args)
+    word = None if args.coeff is None else _normalize_word(args.coeff, L.d)
     v = L.flag_vector()
-    if word:
+    if word is not None:
         value = rat_to_str(cdx.cd_coefficient(v, word))
-        if args.format == "csv":
-            print("word,value")
-            print(f"{args.coeff},{value}")
-        else:
-            _emit_json({"d": L.d, "word": args.coeff, "value": value}, args)
+        _emit(args, {"d": L.d, "word": args.coeff, "value": value},
+              ["word", "value"], [(args.coeff, value)])
         return 0
     poly = cdx.cd_index(v)
     coeffs = {word: rat_to_str(c) for word, c in poly.ordered_terms()}
-    if args.format == "csv":
-        print("word,coefficient")
-        for word, c in coeffs.items():
-            print(f"{word},{c}")
-    else:
-        _emit_json({"d": L.d, "cd": poly.canonical_str(), "coeffs": coeffs}, args)
+    _emit(args, {"d": L.d, "cd": poly.canonical_str(), "coeffs": coeffs},
+          ["word", "coefficient"], coeffs.items())
     return 0
 
 
@@ -187,6 +172,8 @@ def _parse_form(text: str) -> forms.FlagForm:
         return forms.FlagForm.from_json(text)
     if text.startswith(("g0@", "g1@")):
         which, d_text = text.split("@", 1)
+        _need(_is_count(d_text),
+              f"dimension {d_text!r} of {text!r} is not a string of decimal digits")
         g0, g1 = forms.g_forms(int(d_text))
         if which == "g0":
             return g0
@@ -214,8 +201,7 @@ def cmd_candidates(args) -> int:
     doc = {
         "d": args.dim,
         "ell": args.ell if args.dim == 6 else None,
-        "sparse": {flagalg.subset_key(S): str(val)
-                   for S, val in sorted(sparse.items(), key=lambda kv: (len(kv[0]), kv[0]))},
+        "sparse": json.loads(flagalg.write_flag_json(args.dim, "sparse", sparse))["sparse"],
         "f": [str(c) for c in rep.f],
         "battery": {name: rat_to_str(val) for name, val in rep.battery_values.items()},
         "battery_ok": rep.battery_ok,
@@ -241,35 +227,21 @@ def _parse_range(text: str) -> tuple[int, int]:
 def cmd_scan(args) -> int:
     lo, hi = _parse_range(args.n)
     if args.kind == "logconv7":
-        triples = families.logconv_scan(lo, hi)
-        rows = [
-            {"n": t.n,
-             "r1": rat_to_str(t.r1), "r2": rat_to_str(t.r2), "r3": rat_to_str(t.r3),
-             "r1_approx": approx_str(t.r1), "r2_approx": approx_str(t.r2),
-             "r3_approx": approx_str(t.r3)}
-            for t in triples
-        ]
         header = ["n", "r1", "r2", "r3", "r1_approx", "r2_approx", "r3_approx"]
+        rows = [[t.n, *map(rat_to_str, (t.r1, t.r2, t.r3)),
+                 *map(approx_str, (t.r1, t.r2, t.r3))]
+                for t in families.logconv_scan(lo, hi)]
     else:
         _need(lo >= 6 and lo <= hi, f"cyclic 5-polytopes need 6 <= n_min <= n_max, got {args.n}")
+        header = ["n", "f0", "f1", "f2", "f3", "f4",
+                  "convexity_gap", "convexity_gap_approx"]
         rows = []
         for n in range(lo, hi + 1):
             f = families.cyclic_f(5, n)
             gap = f[1] - Fraction(f[0] + f[2], 2)
-            rows.append({
-                "n": n,
-                **{f"f{i}": str(f[i]) for i in range(5)},
-                "convexity_gap": rat_to_str(gap),
-                "convexity_gap_approx": approx_str(gap),
-            })
-        header = ["n", "f0", "f1", "f2", "f3", "f4",
-                  "convexity_gap", "convexity_gap_approx"]
-    if args.format == "json":
-        _emit_json({"kind": args.kind, "rows": rows}, args)
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(row[h]) for h in header))
+            rows.append([n, *map(str, f), rat_to_str(gap), approx_str(gap)])
+    _emit(args, {"kind": args.kind, "rows": [dict(zip(header, row)) for row in rows]},
+          header, rows)
     return 0
 
 
@@ -298,10 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-meta", action="store_true",
                        help="omit tool metadata from JSON output")
 
-    p = sub.add_parser("generate", help="f-vector of a family member")
-    p.add_argument("family", choices=FAMILIES)
-    p.add_argument("-d", type=int, default=None)
-    p.add_argument("-n", type=int, default=None)
+    def family_parser(name, help, choices):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("family", choices=choices)
+        p.add_argument("-d", type=int)
+        p.add_argument("-n", type=int)
+        return p
+
+    p = family_parser("generate", "f-vector of a family member", list(FAMILIES))
     common(p)
     p.set_defaults(fn=cmd_generate)
 
@@ -311,17 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("flags", help="full flag vector of a family member")
-    p.add_argument("family", choices=FAMILIES[:-1])
-    p.add_argument("-d", type=int, default=None)
-    p.add_argument("-n", type=int, default=None)
+    p = family_parser("flags", "full flag vector of a family member", LATTICE_FAMILIES)
     common(p)
     p.set_defaults(fn=cmd_flags)
 
-    p = sub.add_parser("cdindex", help="cd-index of a family member")
-    p.add_argument("family", choices=FAMILIES[:-1])
-    p.add_argument("-d", type=int, default=None)
-    p.add_argument("-n", type=int, default=None)
+    p = family_parser("cdindex", "cd-index of a family member", LATTICE_FAMILIES)
     p.add_argument("--coeff", default=None,
                    help="extract one coefficient, e.g. c2dc2")
     common(p)

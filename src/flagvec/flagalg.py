@@ -141,7 +141,7 @@ class FlagVector:
 
     @property
     def complete(self) -> bool:
-        return len(self.entries) == 2 ** self.d
+        return len(self.entries) == 1 << self.d
 
     def get(self, S):
         S = tuple(sorted(set(S)))
@@ -235,7 +235,8 @@ def gds_relation(S, gap: tuple[int, int], d: int) -> dict[tuple[int, ...], int]:
         raise InvalidParams(
             f"{gap} is not a gap of index set {S} for d={d}: need consecutive"
             f" elements of {bounds} at least 2 apart")
-    combo = {tuple(sorted(S + (j,))): (-1) ** (j - i - 1) for j in range(i + 1, k)}
+    combo = {tuple(sorted(S + (j,))): -1 if (j - i - 1) % 2 else 1
+             for j in range(i + 1, k)}
     if (k - i) % 2 == 0:
         combo[S] = -2
     return combo
@@ -308,7 +309,7 @@ def complete_from_sparse(values: dict, d: int) -> FlagVector:
 def euler_check(f) -> bool:
     """Does the alternating sum of face counts equal 1 - (-1)^d?"""
     f = f if isinstance(f, FVector) else FVector(f)
-    return sum((-1) ** i * fi for i, fi in enumerate(f)) == 1 - (-1) ** f.d
+    return sum(-fi if i % 2 else fi for i, fi in enumerate(f)) == (2 if f.d % 2 else 0)
 
 
 def parse_sparse_json(text: str) -> tuple[dict[tuple[int, ...], object], int]:

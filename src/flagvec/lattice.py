@@ -558,7 +558,7 @@ def _simplicial_lattice(d: int, n: int, facets) -> FaceLattice:
 def build_simplex(d: int) -> FaceLattice:
     """Face lattice of the d-simplex: all subsets of d+1 vertices."""
     _check_dim(d, 0)
-    _check_face_budget(2 ** (d + 1))
+    _check_face_budget(1 << (d + 1))
     verts = range(d + 1)
     faces = []
     for size in range(0, d + 2):

@@ -14,7 +14,7 @@ from flagvec import (
     build_polygon,
     build_simplex,
 )
-from flagvec.cli import main
+from flagvec.cli import FAMILIES, main
 from flagvec.lattice import MAX_FACES_ENV
 
 # verify-paper --no-meta --seed 7 as JSON, and the outputs that
@@ -54,6 +54,12 @@ def test_generate_json_meta_toggle(capsys):
 def test_generate_invalid_params(capsys):
     code, _, err = run(capsys, "generate", "cyclic", "-d", "5", "-n", "4")
     assert code == 2 and "error" in err
+    # an option the family does not take is refused, not dropped
+    for argv in (("generate", "p7n", "-n", "9", "-d", "3"),
+                 ("flags", "polygon", "-n", "4", "-d", "7")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {argv[1]} takes no -d\n"
 
 
 def test_check_reports_verdicts(capsys):
@@ -76,8 +82,11 @@ def test_check_non_unimodal_candidate_member(capsys):
 def test_check_rejects_degenerate_vectors(capsys):
     code, _, err = run(capsys, "check", "1,1")
     assert code == 2 and "error" in err
-    code, _, err = run(capsys, "check", "4,x,4")
-    assert code == 2
+    # each count is ASCII decimal digits, as in an @file, and is named
+    for count in ("x", "1_0", "+10", "\u0661\u0660", "-4"):
+        code, out, err = run(capsys, "check", f"4,{count},4")
+        assert code == 2 and out == ""
+        assert err == f"error: face count {count!r} is not a string of decimal digits\n"
 
 
 def test_check_reads_files(tmp_path, capsys):
@@ -127,8 +136,9 @@ def test_cdindex_coefficient_degree_is_read_from_the_exponents(capsys):
                          "--coeff", "c^10000000")
     assert code == 2 and out == ""
     assert err == "error: 'c^10000000' has degree 10000000, need 3\n"
-    code, out, err = run(capsys, "cdindex", "simplex", "-d", "3", "--coeff", "c0")
-    assert code == 2 and err == "error: empty cd-word 'c0'\n"
+    for word in ("c0", ""):
+        code, out, err = run(capsys, "cdindex", "simplex", "-d", "3", "--coeff", word)
+        assert code == 2 and err == f"error: empty cd-word {word!r}\n"
     # an exponent too long for int() is refused by the word, cut short
     code, out, err = run(capsys, "cdindex", "simplex", "-d", "3",
                          "--coeff", "c^" + "1" * 5000)
@@ -177,7 +187,9 @@ def test_convolve_refuses_inexact_coefficients(capsys, value):
 
 @pytest.mark.parametrize("form", ['{"d":true,"coeffs":{"0":1}}',
                                   '{"d":1.5,"coeffs":{}}',
-                                  '{"d":1,"coeffs":[1]}'])
+                                  '{"d":1,"coeffs":[1]}',
+                                  # the D of g0@D and g1@D is read as a count
+                                  "g0@x", "g1@1_0", "g1@+2", "g0@\u0663", "g0@"])
 def test_convolve_refuses_a_malformed_form(capsys, form):
     code, out, err = run(capsys, "convolve", form, "g0@0")
     assert code == 2 and out == ""
@@ -254,6 +266,20 @@ def test_verify_paper_json_passes(capsys):
     ("candidates_7.json", ("candidates", "7")),
     ("cdindex_simplex_8.json", ("cdindex", "simplex", "-d", "8")),
     ("verify_paper_seed7.txt", ("verify-paper", "--seed", "7")),
+    ("generate_cyclic_5_8.csv", ("generate", "cyclic", "-d", "5", "-n", "8",
+                                 "--format", "csv")),
+    ("generate_cyclic_5_8.json", ("generate", "cyclic", "-d", "5", "-n", "8")),
+    ("generate_p7n_10.csv", ("generate", "p7n", "-n", "10", "--format", "csv")),
+    ("generate_p7n_10.json", ("generate", "p7n", "-n", "10")),
+    ("check_cyclic_5_8.csv", ("check", "8,28,52,50,20", "--format", "csv")),
+    ("flags_cyclic_4_7.csv", ("flags", "cyclic", "-d", "4", "-n", "7",
+                              "--format", "csv")),
+    ("cdindex_cube_5.csv", ("cdindex", "cube", "-d", "5", "--format", "csv")),
+    ("cdindex_cyclic_6_10_c2dc2.csv", ("cdindex", "cyclic", "-d", "6", "-n", "10",
+                                       "--coeff", "c2dc2", "--format", "csv")),
+    ("scan_logconv7_8_20.json", ("scan", "logconv7", "--n", "8..20", "--format", "json")),
+    ("scan_convexity5_6_16.json", ("scan", "convexity5", "--n", "6..16",
+                                   "--format", "json")),
 ])
 def test_outputs_match_the_goldens(capsys, golden, argv):
     code, out, _ = run(capsys, *argv, "--no-meta")
@@ -292,9 +318,8 @@ def test_a_malformed_face_budget_is_refused_by_name(monkeypatch, capsys, value):
 
 
 # ----------------------------------------------------------------------
-# refusals under fuzzing: JSON objects only, since argparse reads a bare
-# negative number as an option.  Most inputs are near a valid one, so the
-# checks behind the shape checks are reached too.
+# refusals under fuzzing, of argv and of JSON objects.  Most inputs are near
+# a valid one, so the checks behind the shape checks are reached too.
 
 NUMBERS = st.integers(-9, 400) | st.sampled_from(
     ["1/2", "-3/4", "1/0", "0/5", "007", "1e3", " 1", "\u0663", "9" * 30])
@@ -385,6 +410,81 @@ def test_check_file_exits_0_or_refuses_in_one_line(capsys, tmp_path_factory, doc
     path = tmp_path_factory.getbasetemp() / "check-fuzz.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     _exit_0_or_one_error_line(capsys, "check", f"@{path}")
+
+
+# texts that int() or a count check might take wrongly
+BAD_NUMBERS = st.sampled_from(["x", "", "1_0", "+3", "\u0663", "1.5", "9" * 30, "9" * 5000])
+
+
+def _int_texts(lo, hi):
+    return _mostly(st.integers(lo, hi).map(str), BAD_NUMBERS)
+
+
+@st.composite
+def _counts(draw):
+    """A face-count vector as check reads it, with up to two faults put in."""
+    counts = draw(st.sampled_from([
+        ["8", "28", "52", "50", "20"], ["4", "6", "4"], ["3", "3"],
+        ["30", "135", "126", "67", "69", "23"]]))
+    for _ in range(draw(st.integers(0, 2))):
+        counts[draw(st.integers(0, len(counts) - 1))] = draw(_int_texts(-4, 60))
+    return ",".join(counts)
+
+
+FORMS = (st.sampled_from(["g0@", "g1@"]).flatmap(
+    lambda g: _int_texts(-1, 5).map(lambda D: g + D))
+    | st.sampled_from(['{"d":1,"coeffs":{"0":1}}', "g2@1", "oops"]))
+SCAN_RANGES = _mostly(st.tuples(st.integers(0, 24), st.integers(-3, 30)).map(
+    lambda t: f"{t[0]}..{t[0] + t[1]}"),
+    st.sampled_from(["oops", "8..", "..9", "x..9", "1_0..20", "8..100008"]))
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand other than verify-paper, with arguments near valid ones."""
+    command = draw(st.sampled_from(
+        ["generate", "flags", "cdindex", "check", "convolve", "candidates", "scan"]))
+    argv = [command]
+    if command in ("generate", "flags", "cdindex"):
+        family = draw(st.sampled_from(list(FAMILIES)))
+        argv.append(family)
+        # mostly the options the family takes, else any of -d and -n
+        for option in draw(_mostly(st.just(FAMILIES[family][1]), st.sampled_from(
+                [(), ("d",), ("n",), ("d", "n"), ("n", "d")]))):
+            argv += [f"-{option}", draw(_int_texts(0, 8))]
+        if command == "cdindex" and draw(st.booleans()):
+            argv += ["--coeff", draw(_mostly(
+                st.sampled_from(["c", "d", "cc", "cd", "dc", "c2dc2", "c^3", "d^2", "ccd"]),
+                st.text("cd^0123x", max_size=6)))]
+    elif command == "check":
+        argv.append(draw(_counts()))
+        if draw(st.booleans()):
+            argv += ["-d", draw(_int_texts(0, 7))]
+    elif command == "convolve":
+        argv += [draw(FORMS), draw(FORMS)]
+    elif command == "candidates":
+        argv.append(draw(_mostly(st.sampled_from(["6", "7"]), BAD_NUMBERS)))
+        if draw(st.booleans()):
+            argv += ["--ell", draw(_int_texts(-2, 20))]
+    else:
+        argv += [draw(_mostly(st.sampled_from(["logconv7", "convexity5"]),
+                              st.just("bogus"))),
+                 "--n", draw(SCAN_RANGES)]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["json", "csv", "text"]))]
+    if draw(st.booleans()):
+        argv.append("--no-meta")
+    return argv
+
+
+@FUZZ
+@given(argv=_argvs())
+def test_argv_exits_0_or_refuses_in_one_line(capsys, argv):
+    try:
+        _exit_0_or_one_error_line(capsys, *argv)
+    except SystemExit as exc:  # argparse's own refusal
+        assert exc.code == 2
+        assert capsys.readouterr().out == ""
 
 
 @FUZZ
