@@ -77,15 +77,13 @@ from .cdindex import (
 )
 from .families import (
     PropertyReport,
-    RatioTriple,
     candidate_6d,
     candidate_7d,
     connected_sum_f,
     cyclic_f,
+    cyclic_sum_f,
     logconv_scan,
     neighborly_gap,
-    p7n,
     properties,
-    r3_closed_form,
 )
 from .verify import VerificationReport, run_verification

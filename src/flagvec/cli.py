@@ -4,14 +4,17 @@ Subcommands: generate, check, flags, cdindex, convolve, candidates, scan,
 verify-paper.  All exact numbers are printed as decimal-digit strings or
 "p/q"; decimal columns are explicitly marked approximate.  Output is
 deterministic for fixed arguments, so it can be golden-tested.  Bad input
-exits 2 with one ``error:`` line; a face count, inline or in a file, and the
-D of g0@D and g1@D must be strings of ASCII decimal digits.
+exits 2 with one ``error:`` line.  Every integer read from the command line
+(-d, -n, --ell, --seed, the dimension of candidates, the bounds of scan --n, a
+face count inline or in a file, and the D of g0@D and g1@D) must be a string
+of at most MAX_DIGITS ASCII decimal digits.
 """
 
 import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from . import cdindex as cdx
@@ -20,18 +23,19 @@ from .errors import DegreeMismatch, FlagVecError, InvalidParams, NotEulerian
 from .rational import approx_str, is_json_int, rat_to_str
 
 # Each family's builder and the options it takes, in argument order.  Every
-# builder gives a face lattice except families.p7n, which gives an f-vector.
+# builder gives a face lattice except p7n's, the connected sum of a cyclic
+# 7-polytope and its dual, which gives an f-vector.
 FAMILIES = {
     "simplex": (lattice.build_simplex, ("d",)),
     "cube": (lattice.build_cube, ("d",)),
     "crosspolytope": (lattice.build_crosspolytope, ("d",)),
     "cyclic": (lattice.build_cyclic, ("d", "n")),
     "polygon": (lattice.build_polygon, ("n",)),
-    "p7n": (families.p7n, ("n",)),
+    "p7n": (partial(families.cyclic_sum_f, 7), ("n",)),
 }
-LATTICE_FAMILIES = [name for name, (build, _) in FAMILIES.items()
-                    if build is not families.p7n]
+LATTICE_FAMILIES = [name for name in FAMILIES if name != "p7n"]
 MAX_SCAN_VALUES = 10**5
+MAX_DIGITS = 4300  # the most digits int() converts by default
 
 
 def _emit_json(doc: dict, args):
@@ -57,7 +61,12 @@ def _build_family(args):
     for opt in ("d", "n"):
         _need(getattr(args, opt) is None or opt in options,
               f"{args.family} takes no -{opt}")
-    return build(*(getattr(args, opt) for opt in options))
+    return build(*(_count(getattr(args, opt), f"-{opt}") for opt in options))
+
+
+def _shown(text: str) -> str:
+    """text as a refusal names it: its repr, cut to the first 20 characters."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
 
 
 def _need(cond: bool, message: str):
@@ -83,29 +92,29 @@ def _parse_vector(text: str) -> list[int]:
             text = fh.read().strip()
         if text.startswith("{"):
             f = json.loads(text).get("f")
-            _need(isinstance(f, list) and all(map(_is_count, f)),
+            _need(isinstance(f, list)
+                  and all(is_json_int(x) or isinstance(x, str) for x in f),
                   '"f" must be a list of integers or decimal-digit strings,'
                   f" got {json.dumps(f)}")
-            return [int(x) for x in f]
-    parts = [p for p in text.replace(" ", "").split(",") if p]
-    for p in parts:
-        _need(_is_count(p), f"face count {p!r} is not a string of decimal digits")
-    return [int(p) for p in parts]
+            return [x if is_json_int(x) else _count(x, "face count") for x in f]
+    return [_count(p, "face count") for p in text.replace(" ", "").split(",") if p]
 
 
-def _is_count(x) -> bool:
-    """A JSON integer (not a bool), or a string of decimal digits as
-    ``generate`` prints them."""
-    if isinstance(x, str):
-        return x.isascii() and x.isdigit()
-    return is_json_int(x)
+def _count(text: str, name: str) -> int:
+    """text as an int, once it is known to be a string of at most MAX_DIGITS
+    ASCII decimal digits; name says what it counts in the refusal."""
+    shown = _shown(text)
+    _need(text.isascii() and text.isdigit(),
+          f"{name} {shown} is not a string of decimal digits")
+    _need(len(text) <= MAX_DIGITS, f"{name} {shown} has more than {MAX_DIGITS} digits")
+    return int(text)
 
 
 def cmd_check(args) -> int:
     from math import comb
 
     f = _parse_vector(args.vector)
-    d = args.d if args.d is not None else len(f)
+    d = _count(args.d, "-d") if args.d is not None else len(f)
     _need(d == len(f), f"vector has {len(f)} components, but d={d}")
     _need(d >= 1, "need at least one face count")
     _need(all(c > 0 for c in f), "face counts must be positive")
@@ -155,11 +164,10 @@ def _normalize_word(text: str, d: int) -> str:
     degree = sum(count if letter == "c" else 2 * count for letter, count in runs)
     _need(degree > 0, f"empty cd-word {text!r}")
     if degree != d:
-        name = repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
         try:
-            message = f"{name} has degree {degree}, need {d}"
+            message = f"{_shown(text)} has degree {degree}, need {d}"
         except ValueError:  # a degree of more digits than str() may write
-            message = f"{name} has a degree far above the {d} needed"
+            message = f"{_shown(text)} has a degree far above the {d} needed"
         raise DegreeMismatch(message)
     return "".join(letter * count for letter, count in runs)
 
@@ -172,9 +180,7 @@ def _parse_form(text: str) -> forms.FlagForm:
         return forms.FlagForm.from_json(text)
     if text.startswith(("g0@", "g1@")):
         which, d_text = text.split("@", 1)
-        _need(_is_count(d_text),
-              f"dimension {d_text!r} of {text!r} is not a string of decimal digits")
-        g0, g1 = forms.g_forms(int(d_text))
+        g0, g1 = forms.g_forms(_count(d_text, f"{which}@D"))
         if which == "g0":
             return g0
         _need(g1 is not None, "g1 needs dimension >= 1")
@@ -191,17 +197,20 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_candidates(args) -> int:
-    if args.dim == 6:
-        sparse = families.candidate_6d(args.ell)
+    dim = _count(args.dim, "dimension")
+    _need(dim in (6, 7), f"candidates have dimension 6 or 7, got {_shown(args.dim)}")
+    ell = _count(args.ell, "--ell")
+    if dim == 6:
+        sparse = families.candidate_6d(ell)
     else:
-        _need(args.ell in (None, 0), "the 7-dimensional candidate has no parameter")
+        _need(ell == 0, "the 7-dimensional candidate has no parameter")
         sparse = families.candidate_7d()
-    v = flagalg.complete_from_sparse(sparse, args.dim)
+    v = flagalg.complete_from_sparse(sparse, dim)
     rep = forms.check_candidate(v)
     doc = {
-        "d": args.dim,
-        "ell": args.ell if args.dim == 6 else None,
-        "sparse": json.loads(flagalg.write_flag_json(args.dim, "sparse", sparse))["sparse"],
+        "d": dim,
+        "ell": ell if dim == 6 else None,
+        "sparse": json.loads(flagalg.write_flag_json(dim, "sparse", sparse))["sparse"],
         "f": [str(c) for c in rep.f],
         "battery": {name: rat_to_str(val) for name, val in rep.battery_values.items()},
         "battery_ok": rep.battery_ok,
@@ -214,11 +223,8 @@ def cmd_candidates(args) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    try:
-        a, b = text.split("..", 1)
-        lo, hi = int(a), int(b)
-    except ValueError:
-        raise InvalidParams(f"range must look like 8..20, got {text!r}") from None
+    _need(".." in text, f"range must look like 8..20, got {text!r}")
+    lo, hi = (_count(bound, "--n bound") for bound in text.split("..", 1))
     _need(hi - lo < MAX_SCAN_VALUES, f"range {text} holds {hi - lo + 1} values,"
           f" more than the {MAX_SCAN_VALUES} a scan may take")
     return lo, hi
@@ -228,9 +234,8 @@ def cmd_scan(args) -> int:
     lo, hi = _parse_range(args.n)
     if args.kind == "logconv7":
         header = ["n", "r1", "r2", "r3", "r1_approx", "r2_approx", "r3_approx"]
-        rows = [[t.n, *map(rat_to_str, (t.r1, t.r2, t.r3)),
-                 *map(approx_str, (t.r1, t.r2, t.r3))]
-                for t in families.logconv_scan(lo, hi)]
+        rows = [[n, *map(rat_to_str, ratios), *map(approx_str, ratios)]
+                for n, ratios in families.logconv_scan(7, lo, hi)]
     else:
         _need(lo >= 6 and lo <= hi, f"cyclic 5-polytopes need 6 <= n_min <= n_max, got {args.n}")
         header = ["n", "f0", "f1", "f2", "f3", "f4",
@@ -246,7 +251,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    report = verify.run_verification(seed=args.seed)
+    report = verify.run_verification(seed=_count(args.seed, "--seed"))
     if args.format == "json":
         _emit_json(report.to_dict(), args)
     else:
@@ -265,16 +270,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact flag-vector combinatorics of convex polytopes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_format="json"):
-        p.add_argument("--format", choices=("json", "csv"), default=default_format)
+    def common(p, default="json", formats=("json", "csv")):
+        if formats:
+            p.add_argument("--format", choices=formats, default=default)
         p.add_argument("--no-meta", action="store_true",
                        help="omit tool metadata from JSON output")
 
     def family_parser(name, help, choices):
         p = sub.add_parser(name, help=help)
         p.add_argument("family", choices=choices)
-        p.add_argument("-d", type=int)
-        p.add_argument("-n", type=int)
+        p.add_argument("-d")
+        p.add_argument("-n")
         return p
 
     p = family_parser("generate", "f-vector of a family member", list(FAMILIES))
@@ -283,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="property verdicts for an f-vector")
     p.add_argument("vector", help="comma-separated counts, or @file")
-    p.add_argument("-d", type=int, default=None)
+    p.add_argument("-d")
     common(p)
     p.set_defaults(fn=cmd_check)
 
@@ -300,28 +306,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convolve", help="convolution of two flag forms")
     p.add_argument("left", help="g0@D, g1@D, inline JSON or @file")
     p.add_argument("right")
-    common(p)
+    common(p, formats=())
     p.set_defaults(fn=cmd_convolve)
 
     p = sub.add_parser("candidates", help="candidate flag vectors and their screening")
-    p.add_argument("dim", type=int, choices=(6, 7))
-    p.add_argument("--ell", type=int, default=0,
+    p.add_argument("dim", help="6 or 7")
+    p.add_argument("--ell", default="0",
                    help="parameter of the 6-dimensional family")
-    common(p)
+    common(p, formats=())
     p.set_defaults(fn=cmd_candidates)
 
     p = sub.add_parser("scan", help="per-n data streams")
     p.add_argument("kind", choices=("logconv7", "convexity5"))
     p.add_argument("--n", required=True, help="range, e.g. 8..20")
-    common(p, default_format="csv")
+    common(p, default="csv")
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("verify-paper",
                        help="run the full verification suite of identities"
                             " and reference values")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--no-meta", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    common(p, "text", ("text", "json"))
+    p.add_argument("--seed", default="0")
     p.set_defaults(fn=cmd_verify_paper)
     return parser
 

@@ -18,13 +18,6 @@ from .errors import DimensionMismatch, InvalidParams
 from .flagalg import FVector
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError(f"{num} not divisible by {den}")
-    return q
-
-
 def cyclic_f(d: int, n: int) -> FVector:
     """f-vector of the cyclic d-polytope on n vertices, from the Upper Bound
     Theorem: its h-vector is h_i = C(n-d-1+i, i) for i <= d/2, then
@@ -56,20 +49,11 @@ def connected_sum_f(fP, fQ) -> FVector:
         for i, (p, q) in enumerate(zip(fP, fQ))))
 
 
-def p7n(n: int) -> FVector:
-    """f-vector of the connected sum of the cyclic 7-polytope on n vertices
-    with its dual; palindromic, with
-
-        f_0 = (n-3)(n^2-12n+41)/3         f_1 = (7n^3-102n^2+515n-840)/6
-        f_2 = (5n^3-66n^2+313n-504)/3     f_3 = 5(n-4)(n^2-8n+21)/3
-    """
-    if n < 8:
-        raise InvalidParams(f"the family starts at n = 8, got {n}")
-    f0 = _exact_div((n - 3) * (n * n - 12 * n + 41), 3)
-    f1 = _exact_div(7 * n**3 - 102 * n * n + 515 * n - 840, 6)
-    f2 = _exact_div(5 * n**3 - 66 * n * n + 313 * n - 504, 3)
-    f3 = _exact_div(5 * (n - 4) * (n * n - 8 * n + 21), 3)
-    return FVector((f0, f1, f2, f3, f2, f1, f0))
+def cyclic_sum_f(d: int, n: int) -> FVector:
+    """f-vector of the connected sum of the cyclic d-polytope on n vertices
+    with its dual, which is palindromic."""
+    f = cyclic_f(d, n)
+    return connected_sum_f(f, f.reversed())
 
 
 @dataclass
@@ -134,43 +118,26 @@ def properties(f) -> PropertyReport:
 
 def neighborly_gap(f0: int) -> int:
     """f_0 + f_2 - 2 f_1 for a 2-neighbourly polytope with f0 vertices:
-    f0 (f0-2) (f0-7) / 6, positive as soon as f0 >= 8."""
+    f0 (f0-2) (f0-7) / 6, positive as soon as f0 >= 8.  One factor is even
+    and one is divisible by 3, so the division is exact."""
     if f0 < 1:
         raise InvalidParams(f"need at least one vertex, got {f0}")
-    return _exact_div(f0 * (f0 - 2) * (f0 - 7), 6)
+    return f0 * (f0 - 2) * (f0 - 7) // 6
 
 
-@dataclass
-class RatioTriple:
-    """The three consecutive log-convexity ratios of a 7-dimensional vector."""
-    n: int
-    r1: Fraction  # f1^2 / (f0 f2)
-    r2: Fraction  # f2^2 / (f1 f3)
-    r3: Fraction  # f3^2 / (f2 f4)
-
-
-def r3_closed_form(n: int) -> Fraction:
-    """Middle ratio of the connected-sum family in closed form:
-    25 (n-4)^2 (n^2-8n+21)^2 / (5n^3 - 66n^2 + 313n - 504)^2."""
-    num = 25 * (n - 4) ** 2 * (n * n - 8 * n + 21) ** 2
-    den = (5 * n**3 - 66 * n * n + 313 * n - 504) ** 2
-    return Fraction(num, den)
-
-
-def logconv_scan(n_min: int, n_max: int) -> list[RatioTriple]:
-    """Exact log-convexity ratios of the connected-sum family per n."""
-    if not 8 <= n_min <= n_max:
-        raise InvalidParams(f"need 8 <= n_min <= n_max, got {n_min}..{n_max}")
-    out = []
+def logconv_scan(d: int, n_min: int, n_max: int) -> list[tuple[int, tuple]]:
+    """(n, ratios) per n for the connected sums ``cyclic_sum_f(d, n)``.  The
+    ratios are f_k^2 / (f_(k-1) f_(k+1)) for k = 1..(d-1)//2, exactly: the
+    distinct log-convexity ratios of a palindromic vector."""
+    if not d + 1 <= n_min <= n_max:
+        raise InvalidParams(
+            f"need {d + 1} <= n_min <= n_max, got {n_min}..{n_max}")
+    rows = []
     for n in range(n_min, n_max + 1):
-        f = p7n(n)
-        out.append(RatioTriple(
-            n=n,
-            r1=Fraction(f[1] ** 2, f[0] * f[2]),
-            r2=Fraction(f[2] ** 2, f[1] * f[3]),
-            r3=Fraction(f[3] ** 2, f[2] * f[4]),
-        ))
-    return out
+        f = cyclic_sum_f(d, n)
+        rows.append((n, tuple(Fraction(f[k] ** 2, f[k - 1] * f[k + 1])
+                              for k in range(1, (d - 1) // 2 + 1))))
+    return rows
 
 
 def candidate_6d(ell: int) -> dict[tuple[int, ...], int]:

@@ -27,12 +27,14 @@ from .rational import is_json_int, normalize, rat_exact, rat_from_json, rat_to_s
 
 
 class FVector:
-    """Face-count vector (f_0, ..., f_{d-1}) of a d-polytope."""
+    """Face-count vector (f_0, ..., f_{d-1}) of a d-polytope.  Each component
+    is an int, or a Fraction equal to one; a float, a bool, a str or any
+    other Fraction raises InvalidParams naming the component's index."""
 
     __slots__ = ("d", "components")
 
     def __init__(self, components):
-        self.components = tuple(int(c) for c in components)
+        self.components = tuple(map(_face_count, itertools.count(), components))
         self.d = len(self.components)
 
     def __iter__(self):
@@ -57,6 +59,15 @@ class FVector:
 
     def reversed(self) -> "FVector":
         return FVector(self.components[::-1])
+
+
+def _face_count(i: int, value) -> int:
+    """Component i of an FVector, refused unless it is an integer."""
+    value = normalize(value)
+    if not is_json_int(value):
+        raise InvalidParams(f"component f_{i}: {value!r} is not an integer;"
+                            " give an int or a Fraction equal to one")
+    return value
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,8 @@ from math import comb
 import flagvec as fv
 from flagvec.verify import corpus
 
+from paper_formulas import p7n, r3_closed_form
+
 
 @contextmanager
 def criterion(label: str):
@@ -96,12 +98,15 @@ def test_criterion_4_candidate_completions():
 
 def test_criterion_5_p7n_log_convexity():
     with criterion("5 connected-sum log-convexity"):
-        triples = fv.logconv_scan(8, 200)
-        assert all(t.r1 > 1 and t.r2 > 1 and t.r3 > 1 for t in triples)
-        assert triples[0].r3 == Fraction(25, 16)
-        assert all(a.r3 > b.r3 for a, b in zip(triples, triples[1:]))
-        assert all(t.r3 == fv.r3_closed_form(t.n) for t in triples)
-        assert fv.r3_closed_form(10**4) - 1 < Fraction(1, 100)
+        rows = fv.logconv_scan(7, 8, 200)
+        assert all(r > 1 for _, ratios in rows for r in ratios)
+        r3 = [ratios[2] for _, ratios in rows]
+        assert r3[0] == Fraction(25, 16)
+        assert all(a > b for a, b in zip(r3, r3[1:]))
+        assert r3 == [r3_closed_form(n) for n, _ in rows]
+        [(_, (_, _, r3_far))] = fv.logconv_scan(7, 10**4, 10**4)
+        assert r3_far == r3_closed_form(10**4)
+        assert 0 < r3_far - 1 < Fraction(1, 100)
 
 
 def test_criterion_6_oracle_equivalence_battery():
@@ -167,11 +172,11 @@ def test_criterion_7_theorem_1_on_data():
 def test_criterion_8_connected_sum_arithmetic():
     with criterion("8 connected-sum arithmetic"):
         assert fv.connected_sum_f((4, 6, 4), (4, 6, 4)) == (7, 12, 7)
-        for n in range(8, 51):
-            direct = fv.p7n(n)
+        for n in range(8, 201):
+            direct = p7n(n)
             composed = fv.connected_sum_f(
                 fv.cyclic_f(7, n), fv.cyclic_f(7, n).reversed())
-            assert direct == composed
+            assert fv.cyclic_sum_f(7, n) == composed == direct
             assert direct == direct.reversed()
 
 

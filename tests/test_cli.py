@@ -60,6 +60,19 @@ def test_generate_invalid_params(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == f"error: {argv[1]} takes no -d\n"
+    # -d and -n are counts: ASCII decimal digits, at most 4300 of them
+    for option, value, argv in (
+            ("-d", "\u0663", ("generate", "simplex", "-d", "\u0663", "--format", "csv")),
+            ("-d", "-3", ("flags", "cube", "-d", "-3")),
+            ("-n", "1_0", ("generate", "p7n", "-n", "1_0")),
+            ("-n", "+9", ("cdindex", "cyclic", "-d", "4", "-n", "+9")),
+            ("-n", " 9", ("generate", "polygon", "-n", " 9"))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {option} {value!r} is not a string of decimal digits\n"
+    code, out, err = run(capsys, "generate", "p7n", "-n", "9" * 5000)
+    assert code == 2 and out == ""
+    assert err == "error: -n '99999999999999999999'... has more than 4300 digits\n"
 
 
 def test_check_reports_verdicts(capsys):
@@ -87,6 +100,14 @@ def test_check_rejects_degenerate_vectors(capsys):
         code, out, err = run(capsys, "check", f"4,{count},4")
         assert code == 2 and out == ""
         assert err == f"error: face count {count!r} is not a string of decimal digits\n"
+    # past the 4300 digits int() converts, the count is still named
+    code, out, err = run(capsys, "check", "4," + "9" * 5000 + ",4")
+    assert code == 2 and out == ""
+    assert err == ("error: face count '99999999999999999999'... has more than"
+                   " 4300 digits\n")
+    code, out, err = run(capsys, "check", "4,6,4", "-d", "3.0")
+    assert code == 2 and out == ""
+    assert err == "error: -d '3.0' is not a string of decimal digits\n"
 
 
 def test_check_reads_files(tmp_path, capsys):
@@ -245,6 +266,40 @@ def test_scan_range_errors(capsys):
     assert code == 2 and out == ""
     assert err == ("error: range 8..100008 holds 100001 values,"
                    " more than the 100000 a scan may take\n")
+    # each bound is a count: ASCII decimal digits, at most 4300 of them
+    for bounds, bad in (("1_0..1_1", "1_0"), ("8..+9", "+9"), ("\u0668..9", "\u0668"),
+                        ("8..", "")):
+        code, out, err = run(capsys, "scan", "logconv7", "--n", bounds)
+        assert code == 2 and out == ""
+        assert err == f"error: --n bound {bad!r} is not a string of decimal digits\n"
+    code, out, err = run(capsys, "scan", "convexity5", "--n", "6.." + "9" * 5000)
+    assert code == 2 and out == ""
+    assert err == ("error: --n bound '99999999999999999999'... has more than"
+                   " 4300 digits\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("candidates", "6", "--ell", "-1"), "--ell '-1' is not a string of decimal digits"),
+    (("candidates", "6", "--ell", "1_0"), "--ell '1_0' is not a string of decimal digits"),
+    (("candidates", "\u0666"), "dimension '\u0666' is not a string of decimal digits"),
+    (("candidates", "5"), "candidates have dimension 6 or 7, got '5'"),
+    (("verify-paper", "--seed", "0x7"), "--seed '0x7' is not a string of decimal digits"),
+])
+def test_counts_are_read_by_one_rule(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [("convolve", "g0@1", "g1@2"), ("candidates", "6")])
+def test_json_only_commands_take_no_format(capsys, argv):
+    # both always print JSON, so --format would be an option that does nothing
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    code, out, _ = run(capsys, *argv, "--no-meta")
+    assert code == 0 and "meta" not in json.loads(out)
 
 
 def test_verify_paper_json_passes(capsys):
@@ -258,7 +313,7 @@ def test_verify_paper_json_passes(capsys):
     assert {"kalai-form-reduction", "candidate-7d-f6",
             "oracle-gds-residuals"} <= names
     assert all(c["passed"] for c in doc["checks"])
-    assert len(doc["table"]) == 14
+    assert len(doc["table"]) == 17
 
 
 @pytest.mark.parametrize("golden, argv", [
@@ -280,6 +335,8 @@ def test_verify_paper_json_passes(capsys):
     ("scan_logconv7_8_20.json", ("scan", "logconv7", "--n", "8..20", "--format", "json")),
     ("scan_convexity5_6_16.json", ("scan", "convexity5", "--n", "6..16",
                                    "--format", "json")),
+    ("generate_p7n_60.csv", ("generate", "p7n", "-n", "60", "--format", "csv")),
+    ("scan_logconv7_8_60.json", ("scan", "logconv7", "--n", "8..60", "--format", "json")),
 ])
 def test_outputs_match_the_goldens(capsys, golden, argv):
     code, out, _ = run(capsys, *argv, "--no-meta")

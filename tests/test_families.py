@@ -12,15 +12,17 @@ from flagvec import (
     build_cyclic,
     candidate_6d,
     candidate_7d,
+    euler_check,
     connected_sum_f,
     cyclic_f,
+    cyclic_sum_f,
     logconv_scan,
     neighborly_gap,
-    p7n,
     properties,
-    r3_closed_form,
     toric_h,
 )
+
+from paper_formulas import p7n, r3_closed_form
 
 
 def cyclic_f5(n: int) -> FVector:
@@ -83,24 +85,28 @@ def test_connected_sum_arithmetic():
 
 
 def test_p7n_reference_values():
-    assert p7n(8) == (15, 56, 112, 140, 112, 56, 15)
-    assert p7n(9)[0] == 28
+    assert cyclic_sum_f(7, 8) == p7n(8) == (15, 56, 112, 140, 112, 56, 15)
+    assert cyclic_sum_f(7, 9)[0] == p7n(9)[0] == 28
     with pytest.raises(InvalidParams):
-        p7n(7)
+        cyclic_sum_f(7, 7)
+    with pytest.raises(InvalidParams):
+        cyclic_sum_f(2, 5)  # no connected sum below dimension 3
 
 
 def test_p7n_agrees_with_connected_sum_route():
-    for n in range(8, 51):
-        direct = p7n(n)
-        composed = connected_sum_f(cyclic_f(7, n), cyclic_f(7, n).reversed())
-        assert direct == composed, n
-        assert direct == direct.reversed()
+    # the paper's polynomials against the composition in every dimension
+    for n in range(8, 201):
+        composed = cyclic_sum_f(7, n)
+        assert composed == p7n(n), n
+        assert composed == connected_sum_f(cyclic_f(7, n), cyclic_f(7, n).reversed())
+        assert composed == composed.reversed()
 
 
 def test_p7n_euler_relation_over_the_whole_range():
-    for n in range(8, 201):
-        f = p7n(n)
-        assert sum((-1) ** i * fi for i, fi in enumerate(f)) == 2, n
+    for d in (3, 4, 7, 8, 9):
+        for n in range(d + 1, 201):
+            f = cyclic_sum_f(d, n)
+            assert sum((-1) ** i * fi for i, fi in enumerate(f)) == 1 - (-1) ** d, (d, n)
 
 
 def test_properties_on_reference_vectors():
@@ -184,21 +190,50 @@ def test_neighborly_gap():
 
 
 def test_logconv_scan_reference_ratios():
-    triples = logconv_scan(8, 20)
-    assert len(triples) == 13
-    first = triples[0]
-    assert first.r1 == Fraction(28, 15)
-    assert first.r3 == Fraction(25, 16)
-    for t in triples:
-        assert t.r1 > 1 and t.r2 > 1 and t.r3 > 1
-        assert t.r3 == r3_closed_form(t.n)
+    rows = logconv_scan(7, 8, 200)
+    assert [n for n, _ in rows] == list(range(8, 201))
+    n, (r1, _, r3) = rows[0]
+    assert r1 == Fraction(28, 15)
+    assert r3 == Fraction(25, 16)
+    for n, ratios in rows:
+        f = p7n(n)
+        assert ratios == tuple(Fraction(f[k] ** 2, f[k - 1] * f[k + 1])
+                               for k in (1, 2, 3)), n
+        assert all(r > 1 for r in ratios)
+        assert ratios[2] == r3_closed_form(n)
+    # the distinct ratios of a palindromic vector: k = 1..(d-1)//2
+    for d in (3, 4, 8, 9):
+        assert len(logconv_scan(d, d + 1, d + 1)[0][1]) == (d - 1) // 2
     with pytest.raises(InvalidParams):
-        logconv_scan(5, 7)
+        logconv_scan(7, 5, 7)
+    with pytest.raises(InvalidParams):
+        logconv_scan(8, 8, 20)
 
 
 def test_r3_limit_behaviour():
-    assert r3_closed_form(10**4) - 1 < Fraction(1, 100)
-    assert r3_closed_form(10**4) > 1
+    [(_, (_, _, r3))] = logconv_scan(7, 10**4, 10**4)
+    assert r3 == r3_closed_form(10**4)
+    assert r3 - 1 < Fraction(1, 100)
+    assert r3 > 1
+
+
+def test_connected_sums_of_cyclic_polytopes_by_dimension():
+    # first n < 400 at which C(d, n) glued to its dual is not log-convex, and
+    # the first at which it is not unimodal; Barany holds throughout
+    first_failures = {}
+    for d in range(7, 14):
+        for n in range(d + 1, 400):
+            rep = properties(cyclic_sum_f(d, n))
+            assert rep.barany, (d, n)
+            if not rep.unimodal:
+                first_failures[d] = n
+                break
+            assert rep.log_convex, (d, n)  # log-convexity fails no earlier
+    assert first_failures == {8: 25, 9: 18, 10: 18, 11: 18, 12: 19, 13: 20}
+    f = cyclic_sum_f(8, 25)
+    assert f == (7149, 28800, 46800, 46400, 46400, 46800, 28800, 7149)
+    rep = properties(f)
+    assert rep.witnesses["log_convex"] == 3 and rep.witnesses["unimodal"] == 4
 
 
 def test_candidate_data_values():
@@ -213,3 +248,19 @@ def test_fvector_helpers():
     f = FVector((1, 2, 3))
     assert f.reversed() == (3, 2, 1)
     assert f[1] == 2 and len(f) == 3
+    assert FVector((Fraction(8), 28)).components == (8, 28)
+    assert type(FVector((Fraction(8), 28))[0]) is int
+
+
+@pytest.mark.parametrize("components, index", [
+    ((8.7, 28, 52, 50, 20), 0),
+    ((8, 28.0, 52), 1),
+    (("8", 28, 52), 0),
+    ((8, True, 52), 1),
+    ((8, 28, Fraction(103, 2)), 2),
+])
+@pytest.mark.parametrize("use", [FVector, properties, connected_sum_f, euler_check])
+def test_fvector_refuses_what_is_not_an_integer(components, index, use):
+    args = (components, components) if use is connected_sum_f else (components,)
+    with pytest.raises(InvalidParams, match=f"component f_{index}: "):
+        use(*args)
