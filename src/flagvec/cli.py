@@ -20,7 +20,7 @@ from . import __version__
 from . import cdindex as cdx
 from . import families, flagalg, forms, lattice, verify
 from .errors import DegreeMismatch, FlagVecError, InvalidParams, NotEulerian
-from .rational import approx_str, is_json_int, rat_to_str
+from .rational import MAX_DIGITS, approx_str, is_json_int, load_json, rat_to_str
 
 # Each family's builder and the options it takes, in argument order.  Every
 # builder gives a face lattice except p7n's, the connected sum of a cyclic
@@ -35,7 +35,6 @@ FAMILIES = {
 }
 LATTICE_FAMILIES = [name for name in FAMILIES if name != "p7n"]
 MAX_SCAN_VALUES = 10**5
-MAX_DIGITS = 4300  # the most digits int() converts by default
 
 
 def _emit_json(doc: dict, args):
@@ -91,7 +90,7 @@ def _parse_vector(text: str) -> list[int]:
         with open(text[1:], encoding="utf-8") as fh:
             text = fh.read().strip()
         if text.startswith("{"):
-            f = json.loads(text).get("f")
+            f = load_json(text).get("f")
             _need(isinstance(f, list)
                   and all(is_json_int(x) or isinstance(x, str) for x in f),
                   '"f" must be a list of integers or decimal-digit strings,'

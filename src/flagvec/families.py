@@ -10,12 +10,12 @@ The four properties checked on a positive vector (f_0, ..., f_{d-1}):
 Each one implies the next on positive integer vectors.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
 from .errors import DimensionMismatch, InvalidParams
 from .flagalg import FVector
+from .records import Record
 
 
 def cyclic_f(d: int, n: int) -> FVector:
@@ -56,14 +56,18 @@ def cyclic_sum_f(d: int, n: int) -> FVector:
     return connected_sum_f(f, f.reversed())
 
 
-@dataclass
-class PropertyReport:
+class PropertyReport(Record):
     """Verdicts for the four properties with a violating index per failure."""
-    convex: bool
-    log_convex: bool
-    unimodal: bool
-    barany: bool
-    witnesses: dict[str, int] = field(default_factory=dict)
+
+    __slots__ = ("convex", "log_convex", "unimodal", "barany", "witnesses")
+
+    def __init__(self, convex: bool, log_convex: bool, unimodal: bool,
+                 barany: bool, witnesses: dict[str, int] | None = None):
+        self.convex = convex
+        self.log_convex = log_convex
+        self.unimodal = unimodal
+        self.barany = barany
+        self.witnesses = {} if witnesses is None else witnesses
 
     def as_dict(self) -> dict:
         letters = {"C": "convex", "L": "log_convex", "U": "unimodal", "B": "barany"}

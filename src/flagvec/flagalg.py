@@ -20,7 +20,14 @@ import json
 from functools import lru_cache
 
 from .errors import IncompleteBasis, InvalidParams, MissingEntry
-from .rational import is_json_int, normalize, rat_exact, rat_from_json, rat_to_str
+from .rational import (
+    is_json_int,
+    load_json,
+    normalize,
+    rat_exact,
+    rat_from_json,
+    rat_to_str,
+)
 
 # ----------------------------------------------------------------------
 # value containers
@@ -103,7 +110,7 @@ def read_flag_json(text: str, body: str) -> tuple[int, dict]:
     D must be a JSON integer and the body an object from index-set keys to
     exact numbers; anything else raises InvalidParams.
     """
-    doc = json.loads(text)
+    doc = load_json(text)
     d = doc.get("d") if isinstance(doc, dict) else None
     if not is_json_int(d):
         raise InvalidParams(f'"d" must be an integer, got {json.dumps(d)}')

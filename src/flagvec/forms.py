@@ -7,9 +7,7 @@ considered equivalent when their difference reduces to zero against the
 Dehn-Sommerville relations, which is how the classical identities are stated.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import DimensionMismatch, InvalidParams, MissingEntry, UnsupportedDimension
 from .flagalg import (
@@ -26,6 +24,7 @@ from .flagalg import (
 )
 from .families import PropertyReport, properties
 from .rational import normalize, rat_exact
+from .records import Record
 
 
 class FlagForm:
@@ -189,10 +188,15 @@ def kalai_5d_form() -> FlagForm:
     return total
 
 
-class BatteryMember(NamedTuple):
-    name: str
-    form: FlagForm
-    source: str
+class BatteryMember(Record):
+    """One named form of a battery and where its nonnegativity comes from."""
+
+    __slots__ = ("name", "form", "source")
+
+    def __init__(self, name: str, form: FlagForm, source: str):
+        self.name = name
+        self.form = form
+        self.source = source
 
 
 class InequalityBattery:
@@ -260,15 +264,22 @@ def battery(d: int) -> InequalityBattery:
     return InequalityBattery(d, members)
 
 
-@dataclass
-class CandidateReport:
-    d: int
-    f: tuple[int, ...]
-    battery_values: dict[str, object]
-    battery_ok: bool
-    euler_ok: bool
-    gds_ok: bool
-    properties: PropertyReport
+class CandidateReport(Record):
+    """The battery values and the verdicts of one screened flag vector."""
+
+    __slots__ = ("d", "f", "battery_values", "battery_ok", "euler_ok", "gds_ok",
+                 "properties")
+
+    def __init__(self, d: int, f: tuple[int, ...], battery_values: dict[str, object],
+                 battery_ok: bool, euler_ok: bool, gds_ok: bool,
+                 properties: PropertyReport):
+        self.d = d
+        self.f = f
+        self.battery_values = battery_values
+        self.battery_ok = battery_ok
+        self.euler_ok = euler_ok
+        self.gds_ok = gds_ok
+        self.properties = properties
 
 
 def check_candidate(v) -> CandidateReport:

@@ -36,7 +36,7 @@ import sys
 from .errors import DeskScaleExceeded, FaceNotInLattice, InvalidParams
 from .families import cyclic_f
 from .flagalg import FlagVector, FVector, index_set, index_sets
-from .rational import is_json_int
+from .rational import is_json_int, load_json
 
 MAX_DIMENSION = 8
 DEFAULT_MAX_FACES = 10**6
@@ -486,7 +486,7 @@ class FaceLattice:
     def from_json(cls, text: str) -> "FaceLattice":
         """The lattice of a ``to_json`` document; any other shape raises
         InvalidParams."""
-        doc = json.loads(text)
+        doc = load_json(text)
         d = doc.get("d") if isinstance(doc, dict) else None
         if not is_json_int(d):
             raise InvalidParams(f'"d" must be an integer, got {json.dumps(d)}')
@@ -548,11 +548,15 @@ def _check_dim(d: int, low: int):
 
 
 def _simplicial_lattice(d: int, n: int, facets) -> FaceLattice:
-    """Close a set of facets (vertex tuples) under taking subsets."""
-    proper = {frozenset(sub) for facet in facets for size in range(1, d + 1)
-              for sub in itertools.combinations(facet, size)}
-    return FaceLattice(d, [(-1, ()), (d, range(n)),
-                           *((len(f) - 1, f) for f in proper)])
+    """Close a set of facets (vertex tuples) under taking subsets, rank by
+    rank: the faces of a rank are the sorted tuples that drop one vertex from
+    a face of the rank above, so each face is made once per face over it."""
+    faces = [(-1, ()), (d, range(n))]
+    rank = {tuple(sorted(facet)) for facet in facets}
+    for r in range(d - 1, -1, -1):
+        faces += ((r, f) for f in rank)
+        rank = {f[:i] + f[i + 1:] for f in rank for i in range(r + 1)}
+    return FaceLattice(d, faces)
 
 
 def build_simplex(d: int) -> FaceLattice:

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 from .errors import InvalidParams
 
+MAX_DIGITS = 4300  # the most digits int() converts by default
+
 
 def normalize(x):
     """Collapse a Fraction with denominator 1 to a plain int."""
@@ -37,6 +39,49 @@ def rat_from_str(s):
 def is_json_int(value) -> bool:
     """A JSON integer: an int that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def load_json(text: str):
+    """The document in text, as json.loads reads it.  An integer literal of
+    more than MAX_DIGITS digits, which json.loads refuses with int()'s
+    message naming no entry, raises InvalidParams naming its entry by key or
+    list position."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int() refused a literal: read again to find its entry
+        pass
+    long_literals = []  # (the object standing in for the literal, its digits)
+
+    def parse_int(literal):
+        digits = len(literal.lstrip("-"))
+        if digits <= MAX_DIGITS:
+            return int(literal)
+        long_literals.append((object(), digits))
+        return long_literals[-1][0]
+
+    doc = json.loads(text, parse_int=parse_int)
+    if long_literals:
+        marker, digits = long_literals[0]
+        raise InvalidParams(
+            f"JSON entry {_subscripts(doc, marker) or '(the document)'}: an integer"
+            f" of {digits} digits, more than the {MAX_DIGITS} that are read")
+    return doc
+
+
+def _subscripts(doc, target) -> str | None:
+    """The subscripts that lead from doc to the object target, such as
+    ["f"][1]; "" when doc is target, None when it is not inside doc."""
+    if doc is target:
+        return ""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        inner = _subscripts(value, target)
+        if inner is not None:
+            return f"[{json.dumps(key)}]{inner}"
+    return None
 
 
 def rat_from_json(value, key: str):

@@ -9,35 +9,43 @@ a computed witness is marked as a literature claim or as open.
 """
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from . import cdindex, families, flagalg, forms, lattice
 from .rational import rat_to_str
+from .records import Record
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    expected: str
-    computed: str
-    note: str = ""
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "expected", "computed", "note")
+
+    def __init__(self, name: str, passed: bool, expected: str, computed: str,
+                 note: str = ""):
+        self.name = name
+        self.passed = passed
+        self.expected = expected
+        self.computed = computed
+        self.note = note
 
 
-@dataclass
-class TableCell:
-    prop: str
-    dims: str
-    status: str  # holds | fails | open
-    evidence: str
+class TableCell(Record):
+    __slots__ = ("prop", "dims", "status", "evidence")
+
+    def __init__(self, prop: str, dims: str, status: str, evidence: str):
+        self.prop = prop
+        self.dims = dims
+        self.status = status  # holds | fails | open
+        self.evidence = evidence
 
 
-@dataclass
-class VerificationReport:
-    checks: list[CheckResult] = field(default_factory=list)
-    table: list[TableCell] = field(default_factory=list)
+class VerificationReport(Record):
+    __slots__ = ("checks", "table")
+
+    def __init__(self, checks: list[CheckResult] | None = None,
+                 table: list[TableCell] | None = None):
+        self.checks = [] if checks is None else checks
+        self.table = [] if table is None else table
 
     @property
     def passed(self) -> bool:

@@ -1,10 +1,14 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import flagvec
 from flagvec import (
     FaceLattice,
     InvalidParams,
@@ -351,6 +355,37 @@ def test_a_json_key_cannot_spell_an_element_above_9(capsys):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "(9, 10)" in err
+
+
+def test_a_json_integer_too_long_to_read_is_named(capsys, tmp_path):
+    # int() refuses such a literal with a message that names no entry
+    nines = "9" * 5000
+    too_long = ": an integer of 5000 digits, more than the 4300 that are read\n"
+    path = tmp_path / "big.json"
+    path.write_text('{"f": [4, %s, 4]}' % nines, encoding="utf-8")
+    code, out, err = run(capsys, "check", f"@{path}")
+    assert code == 2 and out == ""
+    assert err == 'error: JSON entry ["f"][1]' + too_long
+    code, out, err = run(capsys, "convolve", '{"d":1,"coeffs":{"0":%s}}' % nines,
+                         "g0@0")
+    assert code == 2 and out == ""
+    assert err == 'error: JSON entry ["coeffs"]["0"]' + too_long
+
+
+def test_importing_the_cli_loads_no_class_generation_module():
+    # dataclasses alone pulls inspect, ast, dis and tokenize into every
+    # process's start-up; typing is as costly and as unneeded
+    src = str(pathlib.Path(flagvec.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def loaded(*statements):
+        code = "; ".join([*statements, "import sys; print(*sorted(sys.modules))"])
+        return set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                  capture_output=True, text=True).stdout.split())
+
+    added = loaded("import flagvec.cli") - loaded()
+    assert "flagvec.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
 
 
 def test_outputs_are_deterministic(capsys):

@@ -231,6 +231,19 @@ def test_json_numbers_must_be_exact():
             FlagVector.from_json(doc)
 
 
+def test_json_integers_too_long_to_read_are_named():
+    # int() refuses a literal of more than 4300 digits naming no entry
+    for doc, entry in (('{"d": 3, "entries": {"": 1, "0": -%s}}', '["entries"]["0"]'),
+                       ('{"d": %s, "entries": {}}', '["d"]'),
+                       ("%s", "(the document)")):
+        with pytest.raises(InvalidParams, match=re.escape(
+                f"JSON entry {entry}: an integer of 4301 digits")):
+            FlagVector.from_json(doc % ("9" * 4301))
+    # 4300 digits are read
+    doc = '{"d": 1, "entries": {"": 1, "0": %s}}' % ("9" * 4300)
+    assert FlagVector.from_json(doc).get((0,)) == 10**4300 - 1
+
+
 def test_json_header_must_be_exact():
     for doc in ({"d": True, "entries": {"": 1}}, {"d": 2.5, "entries": {"": 1}},
                 {"d": 3, "entries": [1]}, {"entries": {"": 1}}, [3]):

@@ -255,6 +255,21 @@ def test_cyclic_facets_match_the_gale_scan_oracle():
             assert sorted(_gale_facets(d, n)) == scan, (d, n)
 
 
+def _closure_oracle(d, n):
+    # every nonempty subset of every facet, one frozenset each
+    proper = {frozenset(sub) for facet in _gale_facets(d, n)
+              for size in range(1, d + 1)
+              for sub in itertools.combinations(facet, size)}
+    return FaceLattice(d, [(-1, ()), (d, range(n)),
+                           *((len(f) - 1, f) for f in proper)])
+
+
+def test_cyclic_closure_matches_the_subset_oracle():
+    for d in range(2, 9):
+        for n in (d + 1, d + 2, d + 3, d + 5, 2 * d + 1):
+            assert build_cyclic(d, n) == _closure_oracle(d, n), (d, n)
+
+
 @pytest.mark.parametrize("d, n", [(3, 1000), (5, 60)])
 def test_cyclic_builds_past_the_old_subset_count(d, n):
     # C(1000, 3) and C(60, 5) subsets are far more than a scan could test
@@ -651,6 +666,14 @@ def test_json_round_trip(c58):
 def test_from_json_refuses_a_malformed_document(doc, message):
     with pytest.raises(InvalidParams, match=re.escape(message)):
         FaceLattice.from_json(json.dumps(doc))
+
+
+def test_from_json_names_an_integer_too_long_to_read():
+    doc = ('{"d": 0, "faces": [{"rank": -1, "vertices": []},'
+           ' {"rank": 0, "vertices": [%s]}]}' % ("1" * 4301))
+    with pytest.raises(InvalidParams, match=re.escape(
+            'JSON entry ["faces"][1]["vertices"][0]: an integer of 4301 digits')):
+        FaceLattice.from_json(doc)
 
 
 def test_desk_scale_guards(monkeypatch):
