@@ -1,9 +1,10 @@
 """Combinatorial face lattices of standard polytope families.
 
-Each face is stored once, as a frozenset of vertex labels with an explicit
-rank (rank = dimension, so vertices have rank 0, the empty face rank -1, the
-whole polytope rank d); the order relation is set inclusion.  Vertex labels
-may be any nonnegative ints, and a large label costs no more than a small one.
+Each face is stored once, as the sorted tuple of its vertex labels, with an
+explicit rank (rank = dimension, so vertices have rank 0, the empty face rank
+-1, the whole polytope rank d); the order relation is set inclusion.  Vertex
+labels may be any nonnegative ints, and a large label costs no more than a
+small one.  Each rank is kept in ascending tuple order.
 Everything here reads one exact inclusion incidence, ``_above``: per rank,
 each vertex has a bitset of the faces of that rank holding it, and the faces
 over a face are the AND of its vertices' bitsets.  Every bitset is a window
@@ -45,6 +46,7 @@ MAX_FACES_ENV = "FLAGVEC_MAX_FACES"
 # much as C-level bit operations over this many bits, and adding a window to
 # a bit-sliced counter costs about two such steps
 _PEEL_STEP_BITS = 1000
+_INT = frozenset((int,))
 
 
 def max_faces() -> int:
@@ -77,8 +79,10 @@ class FaceLattice:
 
     ``faces`` is an iterable of (rank, vertex-iterable) pairs; it must contain
     exactly one rank -1 face (empty) and one rank d face (all vertices), and
-    every vertex appearing anywhere must occur as a rank 0 singleton.  Each
-    face is kept once, as a frozenset, whatever the size of its vertex labels.
+    every vertex appearing anywhere must occur as a rank 0 singleton.  Every
+    vertex label is an int >= 0.  Each face is kept once, as the sorted tuple
+    of its distinct labels (repeated labels and repeated faces collapse), and
+    every method that takes a face accepts any iterable of its labels.
     """
 
     def __init__(self, d: int, faces):
@@ -87,11 +91,19 @@ class FaceLattice:
         if d > MAX_DIMENSION:
             raise DeskScaleExceeded(
                 f"dimension {d} exceeds the supported bound {MAX_DIMENSION}")
-        by_rank: list[set[frozenset[int]]] = [set() for _ in range(d + 2)]
+        given: list[list[tuple]] = [[] for _ in range(d + 2)]
         for rank, verts in faces:
             if not -1 <= rank <= d:
                 raise InvalidParams(f"face rank {rank} outside -1..{d}")
-            by_rank[rank + 1].add(frozenset(verts))
+            given[rank + 1].append(tuple(verts))
+        for rank, level in enumerate(given, -1):
+            if not _natural_labels(level):
+                f = next(f for f in level if not _natural_labels([f]))
+                raise InvalidParams(f"face {list(f)} of rank {rank} has a vertex"
+                                    " label that is not an int >= 0")
+        # each face as its sorted tuple of distinct labels; repeats collapse
+        by_rank = [{tuple(sorted(set(f))) for f in level} for level in given]
+        del given
         _check_face_budget(sum(len(level) for level in by_rank))
         if len(by_rank[0]) != 1 or next(iter(by_rank[0])):
             raise InvalidParams("need exactly one empty face of rank -1")
@@ -100,27 +112,29 @@ class FaceLattice:
         vertices = set()
         for v in by_rank[1]:
             if len(v) != 1:
-                raise InvalidParams(f"rank 0 face {sorted(v)} is not a singleton")
-            vertices |= v
+                raise InvalidParams(f"rank 0 face {list(v)} is not a singleton")
+            vertices.update(v)
         top = next(iter(by_rank[d + 1]))
+        if not vertices.issuperset(top):
+            raise InvalidParams(f"face {list(top)} uses unknown vertices")
+        top_labels = set(top)  # a face inside it uses known vertices only
         for level in by_rank:
-            for f in level:
-                if not f <= vertices:
-                    raise InvalidParams(
-                        f"face {sorted(f)} uses unknown vertices")
-                if not f <= top:
-                    raise InvalidParams(
-                        f"face {sorted(f)} not contained in the top face")
+            if not top_labels.issuperset(itertools.chain.from_iterable(level)):
+                f = next(f for f in level if not top_labels.issuperset(f))
+                raise InvalidParams(f"face {list(f)} not contained in the top face")
 
         self.d = d
-        self._ranks: list[tuple[frozenset[int], ...]] = [
-            tuple(sorted(level, key=sorted)) for level in by_rank]
-        # face -> (rank, index), keyed by the very frozensets in _ranks
-        self._index: dict[frozenset[int], tuple[int, int]] = {}
+        # each rank in ascending tuple order, which is the order of the faces'
+        # sorted label lists
+        self._ranks: list[tuple[tuple[int, ...], ...]] = [
+            tuple(sorted(level)) for level in by_rank]
+        del by_rank
+        # face -> (rank, index), keyed by the very tuples in _ranks
+        self._index: dict[tuple[int, ...], tuple[int, int]] = {}
         for r, level in enumerate(self._ranks):
             for i, f in enumerate(level):
                 if self._index.setdefault(f, (r - 1, i)) != (r - 1, i):
-                    raise InvalidParams(f"vertex set {sorted(f)} appears at two ranks")
+                    raise InvalidParams(f"vertex set {list(f)} appears at two ranks")
         # lazily filled caches
         # per rank, each vertex -> (first, bits): the faces of that rank
         # holding it are first + k for the set bits k of bits
@@ -147,19 +161,22 @@ class FaceLattice:
                     if bits:
                         j = first + (bits & -bits).bit_length() - 1
                         raise InvalidParams(
-                            f"face {sorted(self._ranks[a + 1][i])} of rank"
+                            f"face {list(self._ranks[a + 1][i])} of rank"
                             f" {a} lies strictly inside face"
-                            f" {sorted(self._ranks[b + 1][j])} of rank {b}")
+                            f" {list(self._ranks[b + 1][j])} of rank {b}")
 
     # ------------------------------------------------------------------
     # basic queries
 
-    def faces(self, rank: int) -> tuple[frozenset[int], ...]:
+    def faces(self, rank: int) -> tuple[tuple[int, ...], ...]:
+        """The faces of a rank, each its sorted tuple of vertex labels, in
+        ascending tuple order."""
         if not -1 <= rank <= self.d:
             raise InvalidParams(f"rank {rank} outside -1..{self.d}")
         return self._ranks[rank + 1]
 
     def all_faces(self):
+        """Every (rank, face) pair, by rank and then as in ``faces``."""
         for r in range(-1, self.d + 1):
             for f in self._ranks[r + 1]:
                 yield r, f
@@ -170,14 +187,20 @@ class FaceLattice:
     def n_vertices(self) -> int:
         return len(self._ranks[1])
 
-    def top(self) -> frozenset[int]:
+    def top(self) -> tuple[int, ...]:
+        """The whole polytope: the sorted tuple of every vertex label."""
         return self._ranks[self.d + 1][0]
 
     def _locate(self, face) -> tuple[int, int]:
+        """(rank, index) of the face whose labels an iterable holds, in any
+        order and with repeats; anything else raises FaceNotInLattice."""
+        key = None
         try:
-            return self._index[frozenset(face)]
-        except KeyError:
-            raise FaceNotInLattice(f"{sorted(face)} is not a face") from None
+            key = tuple(sorted(set(face)))
+            return self._index[key]
+        except (TypeError, KeyError):  # not iterable, unhashable or unordered
+            shown = face if key is None else list(key)
+            raise FaceNotInLattice(f"{shown!r} is not a face") from None
 
     def rank(self, face) -> int:
         return self._locate(face)[0]
@@ -345,9 +368,10 @@ class FaceLattice:
         Its vertices are the faces covering ``lower`` inside the interval;
         dimension is rank(upper) - rank(lower) - 1.
         """
-        lower, upper = frozenset(lower), frozenset(upper)
-        rl, ru = self.rank(lower), self.rank(upper)
-        if not (rl < ru and lower <= upper):
+        (rl, il), (ru, iu) = self._locate(lower), self._locate(upper)
+        lower, upper = self._ranks[rl + 1][il], self._ranks[ru + 1][iu]
+        lower_labels, upper_labels = frozenset(lower), frozenset(upper)
+        if not (rl < ru and lower_labels <= upper_labels):
             raise InvalidParams("interval requires lower < upper")
         # (rank, face) for the faces over lower inside upper, tested among
         # the faces over lower, or for a restriction the faces meeting upper
@@ -356,12 +380,14 @@ class FaceLattice:
             level = self._ranks[r + 1]
             window = (self._above(rl, r, [lower])[0] if lower
                       else self._meeting(upper, r))
-            members += [(r, level[j]) for j in _members(*window) if level[j] <= upper]
+            members += [(r, level[j]) for j in _members(*window)
+                        if upper_labels.issuperset(level[j])]
         # the interval's vertices are its atoms, numbered in the order of
         # their vertex labels read from the largest down; an atom lies in a
         # member when the member holds all of its vertices beyond lower
-        atoms = sorted((f - lower for r, f in members if r == rl + 1),
-                       key=lambda extra: sorted(extra, reverse=True))
+        atoms = sorted((tuple(v for v in f if v not in lower_labels)
+                        for r, f in members if r == rl + 1),
+                       key=lambda extra: extra[::-1])
         atoms_of: dict[int, list[int]] = {}
         for k, extra in enumerate(atoms):
             for v in extra:
@@ -378,24 +404,24 @@ class FaceLattice:
 
     def quotient(self, face) -> "FaceLattice":
         """Lattice of the quotient polytope: the interval [face, top]."""
-        face = frozenset(face)
-        if self.rank(face) >= self.d:
+        rank, i = self._locate(face)
+        if rank >= self.d:
             raise InvalidParams("cannot take the quotient by the top face")
-        return self.interval(face, self.top())
+        return self.interval(self._ranks[rank + 1][i], self.top())
 
     def restriction(self, face) -> "FaceLattice":
         """The face itself as a polytope: the interval [empty, face]."""
-        face = frozenset(face)
-        if self.rank(face) <= -1:
+        rank, i = self._locate(face)
+        if rank <= -1:
             raise InvalidParams("cannot restrict to the empty face")
-        return self.interval(frozenset(), face)
+        return self.interval((), self._ranks[rank + 1][i])
 
     def dual(self) -> "FaceLattice":
         """Order-reversed lattice; vertices of the dual are the facets."""
-        return FaceLattice(self.d, [
+        return FaceLattice(self.d, (
             (self.d - 1 - r, _members(*window))
             for r in range(-1, self.d + 1)
-            for window in self._above(r, self.d - 1)])
+            for window in self._above(r, self.d - 1)))
 
     # ------------------------------------------------------------------
     # Eulerian test
@@ -477,7 +503,7 @@ class FaceLattice:
         doc = {
             "d": self.d,
             "faces": [
-                {"rank": r, "vertices": sorted(f)} for r, f in self.all_faces()
+                {"rank": r, "vertices": list(f)} for r, f in self.all_faces()
             ],
         }
         return json.dumps(doc)
@@ -505,6 +531,13 @@ class FaceLattice:
                 f'face {k} must be {{"rank": integer, "vertices": [integer >= 0,'
                 f' ...]}}, got {json.dumps(face)}')
         return cls(d, out)
+
+
+def _natural_labels(faces) -> bool:
+    """Whether every label of every face is an int >= 0, tested at C level."""
+    labels = itertools.chain.from_iterable
+    return (_INT.issuperset(map(type, labels(faces)))
+            and min(labels(faces), default=0) >= 0)
 
 
 def _multiplicities(planes: list[int]) -> memoryview:
