@@ -29,7 +29,6 @@ from .flagalg import (
     gds_relation,
     gds_pairs,
     gds_residuals,
-    parse_sparse_json,
     reduce_index,
     sparse_basis,
 )
@@ -40,11 +39,6 @@ from .lattice import (
     build_cyclic,
     build_polygon,
     build_simplex,
-    dual,
-    flag_number,
-    flag_vector,
-    is_eulerian,
-    quotient,
 )
 from .forms import (
     FlagForm,
@@ -53,7 +47,6 @@ from .forms import (
     check_candidate,
     convolve,
     dual_form,
-    evaluate,
     evaluate_by_face_sum,
     flag_form,
     g_forms,

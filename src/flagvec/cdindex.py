@@ -27,7 +27,7 @@ from functools import lru_cache
 from .errors import DegreeMismatch, InvalidParams, MissingEntry, NotEulerian
 from .flagalg import FlagVector, index_sets, reduce_index, sparse_basis
 from .forms import FlagForm
-from .rational import normalize, rat_from_str, rat_to_str
+from .rational import count_from_str, normalize, rat_from_str, rat_to_str, shown
 
 
 def cd_degree(word: str) -> int:
@@ -163,14 +163,14 @@ def _pretty_word(word: str) -> str:
 
 def _pretty_runs(text: str) -> list[tuple[str, int]]:
     """The (letter, count) runs of a cd-word written as c^2d, c2d or ccd."""
-    if not re.fullmatch(r"(?:[cd](?:\^?\d+)?\s*)*", text):
+    if not re.fullmatch(r"(?:[cd](?:\^?[0-9]+)?\s*)*", text):
         raise InvalidParams(f"cannot parse cd-word {text!r}")
     try:
-        return [(m.group(1), int(m.group(2) or 1))
-                for m in re.finditer(r"([cd])(?:\^?(\d+))?", text)]
-    except ValueError:  # an exponent of more digits than int() may convert
+        return [(letter, count_from_str(exponent or "1", "exponent"))
+                for letter, exponent in re.findall(r"([cd])(?:\^?([0-9]+))?", text)]
+    except InvalidParams:  # an exponent of more digits than a count has
         raise InvalidParams(
-            f"cd-word {text[:20]!r}... has an exponent too long to read") from None
+            f"cd-word {shown(text)} has an exponent too long to read") from None
 
 
 def _parse_terms(text: str):
@@ -181,7 +181,7 @@ def _parse_terms(text: str):
     text = "+ " + text if not text.startswith(("+", "-")) else text
     for chunk in re.finditer(r"([+-])\s*([^+-]+)", text):
         sign, body = chunk.group(1), chunk.group(2).strip()
-        m = re.fullmatch(r"(\d+(?:/\d+)?)?\s*([cd^\d ]*)", body)
+        m = re.fullmatch(r"([0-9]+(?:/[0-9]+)?)?\s*([cd^0-9 ]*)", body)
         if not m:
             raise InvalidParams(f"cannot parse term {body!r}")
         coeff_text, word_text = m.group(1), (m.group(2) or "").strip()

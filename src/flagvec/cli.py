@@ -6,8 +6,8 @@ verify-paper.  All exact numbers are printed as decimal-digit strings or
 deterministic for fixed arguments, so it can be golden-tested.  Bad input
 exits 2 with one ``error:`` line.  Every integer read from the command line
 (-d, -n, --ell, --seed, the dimension of candidates, the bounds of scan --n, a
-face count inline or in a file, and the D of g0@D and g1@D) must be a string
-of at most MAX_DIGITS ASCII decimal digits.
+face count inline or in a file, and the D of g0@D and g1@D) is a count, and
+every coefficient an exact number, as ``rational`` reads them.
 """
 
 import argparse
@@ -20,7 +20,8 @@ from . import __version__
 from . import cdindex as cdx
 from . import families, flagalg, forms, lattice, verify
 from .errors import DegreeMismatch, FlagVecError, InvalidParams, NotEulerian
-from .rational import MAX_DIGITS, approx_str, is_json_int, load_json, rat_to_str
+from .rational import (approx_str, count_from_str, is_json_int, load_json,
+                       rat_to_str, shown)
 
 # Each family's builder and the options it takes, in argument order.  Every
 # builder gives a face lattice except p7n's, the connected sum of a cyclic
@@ -60,12 +61,7 @@ def _build_family(args):
     for opt in ("d", "n"):
         _need(getattr(args, opt) is None or opt in options,
               f"{args.family} takes no -{opt}")
-    return build(*(_count(getattr(args, opt), f"-{opt}") for opt in options))
-
-
-def _shown(text: str) -> str:
-    """text as a refusal names it: its repr, cut to the first 20 characters."""
-    return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
+    return build(*(count_from_str(getattr(args, opt), f"-{opt}") for opt in options))
 
 
 def _need(cond: bool, message: str):
@@ -95,25 +91,16 @@ def _parse_vector(text: str) -> list[int]:
                   and all(is_json_int(x) or isinstance(x, str) for x in f),
                   '"f" must be a list of integers or decimal-digit strings,'
                   f" got {json.dumps(f)}")
-            return [x if is_json_int(x) else _count(x, "face count") for x in f]
-    return [_count(p, "face count") for p in text.replace(" ", "").split(",") if p]
-
-
-def _count(text: str, name: str) -> int:
-    """text as an int, once it is known to be a string of at most MAX_DIGITS
-    ASCII decimal digits; name says what it counts in the refusal."""
-    shown = _shown(text)
-    _need(text.isascii() and text.isdigit(),
-          f"{name} {shown} is not a string of decimal digits")
-    _need(len(text) <= MAX_DIGITS, f"{name} {shown} has more than {MAX_DIGITS} digits")
-    return int(text)
+            return [x if is_json_int(x) else count_from_str(x, "face count") for x in f]
+    return [count_from_str(p, "face count")
+            for p in text.replace(" ", "").split(",") if p]
 
 
 def cmd_check(args) -> int:
     from math import comb
 
     f = _parse_vector(args.vector)
-    d = _count(args.d, "-d") if args.d is not None else len(f)
+    d = count_from_str(args.d, "-d") if args.d is not None else len(f)
     _need(d == len(f), f"vector has {len(f)} components, but d={d}")
     _need(d >= 1, "need at least one face count")
     _need(all(c > 0 for c in f), "face counts must be positive")
@@ -164,9 +151,9 @@ def _normalize_word(text: str, d: int) -> str:
     _need(degree > 0, f"empty cd-word {text!r}")
     if degree != d:
         try:
-            message = f"{_shown(text)} has degree {degree}, need {d}"
+            message = f"{shown(text)} has degree {degree}, need {d}"
         except ValueError:  # a degree of more digits than str() may write
-            message = f"{_shown(text)} has a degree far above the {d} needed"
+            message = f"{shown(text)} has a degree far above the {d} needed"
         raise DegreeMismatch(message)
     return "".join(letter * count for letter, count in runs)
 
@@ -179,7 +166,7 @@ def _parse_form(text: str) -> forms.FlagForm:
         return forms.FlagForm.from_json(text)
     if text.startswith(("g0@", "g1@")):
         which, d_text = text.split("@", 1)
-        g0, g1 = forms.g_forms(_count(d_text, f"{which}@D"))
+        g0, g1 = forms.g_forms(count_from_str(d_text, f"{which}@D"))
         if which == "g0":
             return g0
         _need(g1 is not None, "g1 needs dimension >= 1")
@@ -196,9 +183,9 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_candidates(args) -> int:
-    dim = _count(args.dim, "dimension")
-    _need(dim in (6, 7), f"candidates have dimension 6 or 7, got {_shown(args.dim)}")
-    ell = _count(args.ell, "--ell")
+    dim = count_from_str(args.dim, "dimension")
+    _need(dim in (6, 7), f"candidates have dimension 6 or 7, got {shown(args.dim)}")
+    ell = count_from_str(args.ell, "--ell")
     if dim == 6:
         sparse = families.candidate_6d(ell)
     else:
@@ -223,7 +210,7 @@ def cmd_candidates(args) -> int:
 
 def _parse_range(text: str) -> tuple[int, int]:
     _need(".." in text, f"range must look like 8..20, got {text!r}")
-    lo, hi = (_count(bound, "--n bound") for bound in text.split("..", 1))
+    lo, hi = (count_from_str(bound, "--n bound") for bound in text.split("..", 1))
     _need(hi - lo < MAX_SCAN_VALUES, f"range {text} holds {hi - lo + 1} values,"
           f" more than the {MAX_SCAN_VALUES} a scan may take")
     return lo, hi
@@ -250,7 +237,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    report = verify.run_verification(seed=_count(args.seed, "--seed"))
+    report = verify.run_verification(seed=count_from_str(args.seed, "--seed"))
     if args.format == "json":
         _emit_json(report.to_dict(), args)
     else:
@@ -338,10 +325,7 @@ def main(argv=None) -> int:
     except NotEulerian as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FlagVecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (FlagVecError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,6 +21,7 @@ from functools import lru_cache
 
 from .errors import IncompleteBasis, InvalidParams, MissingEntry
 from .rational import (
+    count_from_str,
     is_json_int,
     load_json,
     normalize,
@@ -98,7 +99,10 @@ def subset_key(S) -> str:
 
 
 def parse_subset_key(key: str) -> tuple[int, ...]:
-    S = tuple(int(ch) for ch in key)
+    """The index set a key spells, one element per decimal digit."""
+    if key:
+        count_from_str(key, "index-set key")
+    S = tuple(map(int, key))
     if any(a >= b for a, b in zip(S, S[1:])):
         raise InvalidParams(f"index-set key {key!r} is not strictly increasing")
     return S
@@ -329,8 +333,3 @@ def euler_check(f) -> bool:
     f = f if isinstance(f, FVector) else FVector(f)
     return sum(-fi if i % 2 else fi for i, fi in enumerate(f)) == (2 if f.d % 2 else 0)
 
-
-def parse_sparse_json(text: str) -> tuple[dict[tuple[int, ...], object], int]:
-    """Read sparse flag data {d, entries: {"": 1, "02": ...}}."""
-    d, values = read_flag_json(text, "entries")
-    return values, d

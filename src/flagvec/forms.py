@@ -122,10 +122,6 @@ def flag_form(d: int, coeffs: dict) -> FlagForm:
     return FlagForm(d, coeffs)
 
 
-def evaluate(m: FlagForm, v: FlagVector):
-    return m.evaluate(v)
-
-
 def dual_form(m: FlagForm) -> FlagForm:
     """Index reversal s -> d-1-s, the combinatorial polarity on forms."""
     return FlagForm(m.d, {tuple(sorted(m.d - 1 - s for s in S)): c

@@ -4,7 +4,10 @@ Each face is stored once, as the sorted tuple of its vertex labels, with an
 explicit rank (rank = dimension, so vertices have rank 0, the empty face rank
 -1, the whole polytope rank d); the order relation is set inclusion.  Vertex
 labels may be any nonnegative ints, and a large label costs no more than a
-small one.  Each rank is kept in ascending tuple order.
+small one.  Each rank is kept in ascending tuple order.  Every operation on
+a lattice (``flag_vector``, ``flag_number``, ``is_eulerian``, ``dual``,
+``interval``, ``quotient``, ``restriction``) is a ``FaceLattice`` method;
+the module's functions are the builders of the standard families.
 Everything here reads one exact inclusion incidence, ``_above``: per rank,
 each vertex has a bitset of the faces of that rank holding it, and the faces
 over a face are the AND of its vertices' bitsets.  Every bitset is a window
@@ -37,7 +40,7 @@ import sys
 from .errors import DeskScaleExceeded, FaceNotInLattice, InvalidParams
 from .families import cyclic_f
 from .flagalg import FlagVector, FVector, index_set, index_sets
-from .rational import is_json_int, load_json
+from .rational import is_count, is_json_int, load_json
 
 MAX_DIMENSION = 8
 DEFAULT_MAX_FACES = 10**6
@@ -50,14 +53,12 @@ _INT = frozenset((int,))
 
 
 def max_faces() -> int:
-    """Current face-count budget; overridable via FLAGVEC_MAX_FACES."""
+    """Current face-count budget; overridable via FLAGVEC_MAX_FACES, which
+    must be a count as ``rational`` reads one, and at least 1."""
     value = os.environ.get(MAX_FACES_ENV)
     if value is None:
         return DEFAULT_MAX_FACES
-    try:
-        budget = int(value) if value.isascii() and value.isdigit() else 0
-    except ValueError:  # more digits than int() may convert
-        budget = 0
+    budget = int(value) if is_count(value) else 0
     if budget < 1:
         raise InvalidParams(
             f"{MAX_FACES_ENV} must be a decimal integer >= 1, got {value!r}")
@@ -86,11 +87,7 @@ class FaceLattice:
     """
 
     def __init__(self, d: int, faces):
-        if d < 0:
-            raise InvalidParams(f"dimension must be >= 0, got {d}")
-        if d > MAX_DIMENSION:
-            raise DeskScaleExceeded(
-                f"dimension {d} exceeds the supported bound {MAX_DIMENSION}")
+        _check_dim(d, 0)
         given: list[list[tuple]] = [[] for _ in range(d + 2)]
         for rank, verts in faces:
             if not -1 <= rank <= d:
@@ -418,8 +415,10 @@ class FaceLattice:
 
     def dual(self) -> "FaceLattice":
         """Order-reversed lattice; vertices of the dual are the facets."""
+        # one int object per facet label, shared by every face holding it
+        labels = list(range(len(self._ranks[self.d])))
         return FaceLattice(self.d, (
-            (self.d - 1 - r, _members(*window))
+            (self.d - 1 - r, [labels[j] for j in _members(*window)])
             for r in range(-1, self.d + 1)
             for window in self._above(r, self.d - 1)))
 
@@ -695,26 +694,3 @@ def build_polygon(n: int) -> FaceLattice:
         faces.append((0, (i,)))
         faces.append((1, (i, (i + 1) % n)))
     return FaceLattice(2, faces)
-
-
-# functional aliases for the derived-lattice operations
-
-
-def dual(lattice: FaceLattice) -> FaceLattice:
-    return lattice.dual()
-
-
-def quotient(lattice: FaceLattice, face) -> FaceLattice:
-    return lattice.quotient(face)
-
-
-def flag_vector(lattice: FaceLattice) -> FlagVector:
-    return lattice.flag_vector()
-
-
-def flag_number(lattice: FaceLattice, S) -> int:
-    return lattice.flag_number(S)
-
-
-def is_eulerian(lattice: FaceLattice) -> bool:
-    return lattice.is_eulerian()

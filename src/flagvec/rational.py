@@ -1,7 +1,13 @@
 """Serialization helpers for exact numbers.
 
 Everything user-facing is printed as a decimal-digit string or "p/q";
-floats never enter the data path.
+floats never enter the data path.  Every number read from text is read by
+one rule, stated here: a count is 1 to MAX_DIGITS ASCII decimal digits
+(``count_from_str``), and an exact number is a count with or without a
+leading "-", optionally followed by "/" and a nonzero count
+(``rat_from_str``), which is what ``rat_to_str`` writes.  Signs other than
+a leading "-", "_", spaces and non-ASCII digits, all of which int() takes,
+are refused with a message that names the text.
 """
 
 import json
@@ -26,14 +32,39 @@ def rat_to_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def rat_from_str(s):
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/", 1)
-        if int(den) == 0:
-            raise InvalidParams(f"zero denominator in {s!r}")
-        return normalize(Fraction(int(num), int(den)))
-    return int(s)
+def shown(text: str) -> str:
+    """text as a refusal names it: its repr, cut to the first 20 characters."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
+
+
+def is_count(text: str) -> bool:
+    """Whether text is a count: 1 to MAX_DIGITS ASCII decimal digits."""
+    return text.isascii() and text.isdigit() and len(text) <= MAX_DIGITS
+
+
+def count_from_str(text: str, name: str) -> int:
+    """The count text spells; anything else raises InvalidParams, where name
+    says what it counts."""
+    if is_count(text):
+        return int(text)
+    if text.isascii() and text.isdigit():
+        raise InvalidParams(f"{name} {shown(text)} has more than {MAX_DIGITS} digits")
+    raise InvalidParams(f"{name} {shown(text)} is not a string of decimal digits")
+
+
+def rat_from_str(text: str):
+    """The exact number text spells: a count, with or without a leading "-",
+    optionally followed by "/" and a nonzero count; anything else raises
+    InvalidParams."""
+    num, slash, den = text.partition("/")
+    p = count_from_str(num.removeprefix("-"), "numerator" if slash else "number")
+    p = -p if num.startswith("-") else p
+    if not slash:
+        return p
+    q = count_from_str(den, "denominator")
+    if q == 0:
+        raise InvalidParams(f"zero denominator in {text!r}")
+    return normalize(Fraction(p, q))
 
 
 def is_json_int(value) -> bool:
@@ -92,7 +123,7 @@ def rat_from_json(value, key: str):
     if isinstance(value, str):
         try:
             return rat_from_str(value)
-        except (InvalidParams, ValueError) as exc:
+        except InvalidParams as exc:
             raise InvalidParams(f"entry {key!r}: {exc}") from None
     raise InvalidParams(
         f"entry {key!r}: {json.dumps(value)} is not an exact number;"

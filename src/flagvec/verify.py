@@ -125,10 +125,6 @@ def _is_simplicial(L) -> bool:
 WITNESS_8 = (7149, 28800, 46800, 46400, 46400, 46800, 28800, 7149)
 
 
-def _fmt(x) -> str:
-    return rat_to_str(x)
-
-
 def run_verification(seed: int = 0) -> VerificationReport:
     report = VerificationReport()
     ok = report.checks.append
@@ -144,7 +140,7 @@ def run_verification(seed: int = 0) -> VerificationReport:
     check("cyclic5-8-enumeration", enumerated == closed,
           str(tuple(closed)), str(tuple(enumerated)), "lattice oracle")
     gap = Fraction(closed[0] + closed[2], 2) - closed[1]
-    check("cyclic5-8-convexity-gap", gap == 2, "(f0+f2)/2 - f1 = 2", _fmt(gap),
+    check("cyclic5-8-convexity-gap", gap == 2, "(f0+f2)/2 - f1 = 2", rat_to_str(gap),
           "f1 = 28 < 30, so convexity fails at k=1")
 
     # ---- the three g1-convolution summands and their sum
@@ -167,7 +163,7 @@ def run_verification(seed: int = 0) -> VerificationReport:
         v = lattice.build_cyclic(5, n).flag_vector()
         kalai_vals.append(total.evaluate(v))
     check("kalai-on-cyclic5", all(val == 0 for val in kalai_vals),
-          "0 for n = 6..12", str([_fmt(v) for v in kalai_vals]),
+          "0 for n = 6..12", str([rat_to_str(v) for v in kalai_vals]),
           "cyclic 5-polytopes are tight for the convolution bound")
 
     # ---- cd-words as flag forms
@@ -184,8 +180,8 @@ def run_verification(seed: int = 0) -> VerificationReport:
     simplex7 = lattice.build_simplex(7).flag_vector()
     val6 = forms.flag_form(6, {(0,): 1, (1,): -1, (2,): 1, (): -21}).evaluate(simplex6)
     val7 = forms.flag_form(7, {(0,): 1, (1,): -1, (2,): 1, (): -36}).evaluate(simplex7)
-    check("cd-bound-tight-on-simplex-6", val6 == 0, "0", _fmt(val6))
-    check("cd-bound-tight-on-simplex-7", val7 == 0, "0", _fmt(val7))
+    check("cd-bound-tight-on-simplex-6", val6 == 0, "0", rat_to_str(val6))
+    check("cd-bound-tight-on-simplex-7", val7 == 0, "0", rat_to_str(val7))
 
     # ---- candidate completions
     f5_ok, battery_ok, u_flags, star_gaps = [], [], [], []
@@ -208,7 +204,7 @@ def run_verification(seed: int = 0) -> VerificationReport:
           f"unimodal flags {u_flags}")
     v7 = flagalg.complete_from_sparse(families.candidate_7d(), 7)
     rep7 = forms.check_candidate(v7)
-    check("candidate-7d-f6", v7.get((6,)) == 134, "134", _fmt(v7.get((6,))))
+    check("candidate-7d-f6", v7.get((6,)) == 134, "134", rat_to_str(v7.get((6,))))
     check("candidate-7d-battery", rep7.battery_ok and rep7.euler_ok and rep7.gds_ok,
           "battery, Euler and Dehn-Sommerville pass", str(rep7.battery_ok))
     check("candidate-7d-barany-fails", not rep7.properties.barany,
@@ -228,13 +224,13 @@ def run_verification(seed: int = 0) -> VerificationReport:
     check("p7n-log-convexity", all_above_one,
           "all three ratios > 1 for n = 8..200", str(all_above_one))
     r3 = [ratios[2] for _, ratios in rows]
-    check("p7n-r3-at-8", r3[0] == Fraction(25, 16), "25/16", _fmt(r3[0]))
+    check("p7n-r3-at-8", r3[0] == Fraction(25, 16), "25/16", rat_to_str(r3[0]))
     decreasing = all(a > b for a, b in zip(r3, r3[1:]))
     check("p7n-r3-decreasing", decreasing, "strictly decreasing on 8..200",
           str(decreasing))
     r3_far = families.logconv_scan(7, 10**4, 10**4)[0][1][2]
     check("p7n-r3-limit", 0 < r3_far - 1 < Fraction(1, 100),
-          "0 < r3(10^4) - 1 < 1/100", _fmt(r3_far - 1))
+          "0 < r3(10^4) - 1 < 1/100", rat_to_str(r3_far - 1))
     f8 = families.cyclic_sum_f(8, 25)
     rep8 = families.properties(f8)
     found8 = (rep8.witnesses.get("log_convex"), rep8.witnesses.get("unimodal"),
@@ -333,7 +329,7 @@ def run_verification(seed: int = 0) -> VerificationReport:
           str(all(six_d_chain)))
     check("prop3-empirical-minimum", min_prop3_gap == 21,
           "min of f_2 - (2/3) f_1 over the 6d corpus is 21 (simplex)",
-          _fmt(min_prop3_gap),
+          rat_to_str(min_prop3_gap),
           "supports the derivable constant 21, not 63")
 
     # ---- summary table

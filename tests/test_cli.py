@@ -3,6 +3,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +22,7 @@ from flagvec import (
 )
 from flagvec.cli import FAMILIES, main
 from flagvec.lattice import MAX_FACES_ENV
+from flagvec.rational import rat_to_str
 
 # verify-paper --no-meta --seed 7 as JSON, and the outputs that
 # test_outputs_match_the_goldens names
@@ -295,6 +298,42 @@ def test_counts_are_read_by_one_rule(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def _convolve(coeffs: dict):
+    return ("convolve", json.dumps({"d": 1, "coeffs": coeffs}), "g0@0", "--no-meta")
+
+
+# a count is 1 to 4300 ASCII decimal digits, and an exact number is a count,
+# with or without a leading "-", optionally followed by "/" and a nonzero
+# count: exactly what rat_to_str writes
+@pytest.mark.parametrize("argv, expected", [
+    (_convolve({"0": "1_0"}), "entry '0': number '1_0' is not a string of decimal digits"),
+    (_convolve({"0": "\u0661\u0660"}),
+     "entry '0': number '\u0661\u0660' is not a string of decimal digits"),
+    (_convolve({"0": " +7 "}), "entry '0': number ' +7 ' is not a string of decimal digits"),
+    (_convolve({"0": "+7"}), "entry '0': number '+7' is not a string of decimal digits"),
+    (_convolve({"0": "-3/-4"}),
+     "entry '0': denominator '-4' is not a string of decimal digits"),
+    (_convolve({"0": "3/+4"}), "entry '0': denominator '+4' is not a string of decimal digits"),
+    (_convolve({"0": "9" * 4301}),
+     "entry '0': number '99999999999999999999'... has more than 4300 digits"),
+    (_convolve({"x": 1}), "index-set key 'x' is not a string of decimal digits"),
+    (_convolve({"\u0660": 1}), "index-set key '\u0660' is not a string of decimal digits"),
+    (("cdindex", "simplex", "-d", "4", "--coeff", "c\u0662d"),
+     "cannot parse cd-word 'c\u0662d'"),
+    (_convolve({"0": "-3/4"}), {"01": "-3/4"}),
+    (_convolve({"0": "007"}), {"01": "7"}),
+    (_convolve({"0": "4/2"}), {"01": "2"}),
+    *((_convolve({"0": rat_to_str(x)}), {"01": rat_to_str(x)} if x else {})
+      for x in (-7, 7, Fraction(-7, 3), 0)),
+])
+def test_every_number_in_text_is_read_by_one_rule(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    if isinstance(expected, str):
+        assert (code, out, err) == (2, "", f"error: {expected}\n")
+    else:
+        assert code == 0 and json.loads(out)["coeffs"] == expected
+
+
 @pytest.mark.parametrize("argv", [("convolve", "g0@1", "g1@2"), ("candidates", "6")])
 def test_json_only_commands_take_no_format(capsys, argv):
     # both always print JSON, so --format would be an option that does nothing
@@ -386,6 +425,27 @@ def test_importing_the_cli_loads_no_class_generation_module():
     added = loaded("import flagvec.cli") - loaded()
     assert "flagvec.cli" in added
     assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+
+
+def test_the_public_names_change_only_by_a_reviewed_diff():
+    names = sorted(name for name in dir(flagvec) if not name.startswith("_")
+                   and not isinstance(getattr(flagvec, name), types.ModuleType))
+    assert names == [
+        "AbPolynomial", "CdPolynomial", "DegreeMismatch", "DeskScaleExceeded",
+        "DimensionMismatch", "FVector", "FaceLattice", "FaceNotInLattice", "FlagForm",
+        "FlagVecError", "FlagVector", "IncompleteBasis", "InequalityBattery",
+        "InvalidParams", "MissingEntry", "NotEulerian", "PropertyReport",
+        "ToricGVector", "UnsupportedDimension", "VerificationReport", "ab_index",
+        "ab_to_cd", "battery", "build_crosspolytope", "build_cube", "build_cyclic",
+        "build_polygon", "build_simplex", "candidate_6d", "candidate_7d",
+        "cd_coefficient", "cd_index", "cd_word_to_flag_form", "cd_words",
+        "check_candidate", "complete_from_sparse", "connected_sum_f", "convolve",
+        "cyclic_f", "cyclic_sum_f", "dual_form", "euler_check",
+        "evaluate_by_face_sum", "flag_form", "g_forms", "gds_pairs", "gds_relation",
+        "gds_residuals", "kalai_5d_form", "kalai_5d_summands", "logconv_scan",
+        "neighborly_gap", "properties", "reduce_index", "run_verification",
+        "sample_feasible_5d", "sparse_basis", "stanley_nonneg_check", "toric_g",
+        "toric_h"]
 
 
 def test_outputs_are_deterministic(capsys):

@@ -19,8 +19,6 @@ from flagvec import (
     build_polygon,
     build_simplex,
     cyclic_f,
-    dual,
-    quotient,
     toric_g,
     toric_h,
 )
@@ -204,7 +202,7 @@ def _oracle_lattices(small_corpus):
     # and {7, 8} at its end, so its window spans almost the whole rank;
     # NON_GRADED has a vertex in no edge
     return [*small_corpus, build_cube(6), build_crosspolytope(6),
-            build_cyclic(7, 12), build_polygon(9), dual(build_cube(4)),
+            build_cyclic(7, 12), build_polygon(9), build_cube(4).dual(),
             FaceLattice(2, NON_GRADED)]
 
 
@@ -422,7 +420,7 @@ def test_flag_vector_matches_the_all_pairs_chain_oracle(small_corpus):
     # FALSE_SIMPLICES and the polygon peel every window
     rng = random.Random(13)
     for L in [*_oracle_lattices(small_corpus), empty_rank,
-              dual(build_cyclic(6, 10)), dual(build_cyclic(7, 10)),
+              build_cyclic(6, 10).dual(), build_cyclic(7, 10).dual(),
               FaceLattice(5, FALSE_SIMPLICES),
               *_single_face_deletions(build_cube(4), rng, 4),
               *_single_face_deletions(build_cyclic(5, 8), rng, 4)]:
@@ -514,10 +512,18 @@ def test_euler_relation_on_builders(small_corpus):
 
 def test_dual_basics():
     s4 = build_simplex(4)
-    assert tuple(dual(s4).f_vector()) == tuple(s4.f_vector())
-    assert tuple(dual(build_cube(3)).f_vector()) == (6, 12, 8)
+    assert tuple(s4.dual().f_vector()) == tuple(s4.f_vector())
+    assert tuple(build_cube(3).dual().f_vector()) == (6, 12, 8)
     # the vertex count of the dual is the facet count of the original
-    assert dual(build_cyclic(5, 8)).flag_number((0,)) == 20
+    assert build_cyclic(5, 8).dual().flag_number((0,)) == 20
+
+
+def test_each_dual_label_is_one_object():
+    # an int above 256 is a new object each time it is computed, so labels
+    # computed per incidence cost one object per face holding them
+    D = build_cyclic(6, 20).dual()
+    assert D.n_vertices() == 800
+    assert len({id(v) for _, f in D.all_faces() for v in f}) == D.n_vertices()
 
 
 def test_dual_flag_identity(small_corpus):
@@ -531,46 +537,76 @@ def test_dual_flag_identity(small_corpus):
 
 def test_quotient_by_empty_face_is_identity():
     L = build_cube(3)
-    assert quotient(L, ()) == L
+    assert L.quotient(()) == L
 
 
 def test_quotient_examples():
     tetra = build_simplex(3)
-    vertex_figure = quotient(tetra, (0,))
+    vertex_figure = tetra.quotient((0,))
     assert tuple(vertex_figure.f_vector()) == (3, 3)
     cube = build_cube(3)
     edge = next(iter(cube.faces(1)))
-    assert tuple(quotient(cube, edge).f_vector()) == (2,)
+    assert tuple(cube.quotient(edge).f_vector()) == (2,)
 
 
 def test_quotient_rank_arithmetic():
     L = build_cyclic(5, 7)
     for r in range(0, L.d):
         face = L.faces(r)[0]
-        assert quotient(L, face).d == L.d - 1 - r
+        assert L.quotient(face).d == L.d - 1 - r
 
 
 def test_quotient_rejects_foreign_faces():
     cube = build_cube(2)
     with pytest.raises(FaceNotInLattice):
-        quotient(cube, (0, 3))  # a diagonal of the square is not a face
+        cube.quotient((0, 3))  # a diagonal of the square is not a face
     with pytest.raises(InvalidParams):
-        quotient(cube, cube.top())
+        cube.quotient(cube.top())
+
+
+def _relabelled_octahedral_prism(seed):
+    """The octahedral prism with its labels a random injection into 0..47."""
+    prism = _prism(build_crosspolytope(3))
+    vertices = sorted(v for (v,) in prism.faces(0))
+    return _relabel(prism, dict(zip(vertices, random.Random(seed).sample(range(48), 12))))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_interval_atoms_are_numbered_in_mask_order(seed):
     # the octahedral prism is neither simple nor simplicial, so its vertex
     # figures (square pyramids) and facets (octahedra, square prisms) depend
-    # on the atom order; the labels are a random injection into 0..47
-    prism = _prism(build_crosspolytope(3))
-    vertices = sorted(v for (v,) in prism.faces(0))
-    L = _relabel(prism, dict(zip(vertices, random.Random(seed).sample(range(48), 12))))
+    # on the atom order
+    L = _relabelled_octahedral_prism(seed)
     for r, f in L.all_faces():
         if r < L.d:
             assert L.quotient(f).to_json() == _interval_oracle(L, f, L.top()).to_json()
         if r > -1:
             assert L.restriction(f).to_json() == _interval_oracle(L, (), f).to_json()
+
+
+def _interval_json(make):
+    """make()'s document, or InvalidParams when it raises that."""
+    try:
+        return make().to_json()
+    except InvalidParams:
+        return InvalidParams
+
+
+@pytest.mark.parametrize("L, pairs", [
+    (build_cube(3), None), (build_cyclic(4, 7), None),
+    (FaceLattice(2, NON_GRADED), None), (FaceLattice(5, FALSE_SIMPLICES), None),
+    (_relabelled_octahedral_prism(0), 200),
+], ids=["cube3", "cyclic4-7", "non-graded", "false-simplices", "octahedral-prism"])
+def test_general_intervals_match_the_oracle(L, pairs):
+    # both ends proper: neither a quotient nor a restriction
+    proper = [(r, f) for r, f in L.all_faces() if -1 < r < L.d]
+    below = [(x, y) for rx, x in proper for ry, y in proper
+             if rx < ry and set(x) <= set(y)]
+    if pairs is not None:
+        below = random.Random(0).sample(below, pairs)
+    for x, y in below:
+        assert (_interval_json(lambda: L.interval(x, y))
+                == _interval_json(lambda: _interval_oracle(L, x, y))), (x, y)
 
 
 def test_interval_counts_an_atom_only_where_all_of_it_lies():
