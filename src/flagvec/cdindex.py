@@ -162,8 +162,9 @@ def _pretty_word(word: str) -> str:
 
 
 def _pretty_runs(text: str) -> list[tuple[str, int]]:
-    """The (letter, count) runs of a cd-word written as c^2d, c2d or ccd."""
-    if not re.fullmatch(r"(?:[cd](?:\^?[0-9]+)?\s*)*", text):
+    """The (letter, count) runs of a cd-word written as c^2d, c2d or ccd,
+    with ASCII spaces, and no other whitespace, allowed between runs."""
+    if not re.fullmatch(r"(?:[cd](?:\^?[0-9]+)? *)*", text):
         raise InvalidParams(f"cannot parse cd-word {text!r}")
     try:
         return [(letter, count_from_str(exponent or "1", "exponent"))
@@ -174,17 +175,19 @@ def _pretty_runs(text: str) -> list[tuple[str, int]]:
 
 
 def _parse_terms(text: str):
-    text = text.strip()
+    """(sign, coefficient text, word text) per term; as in ``_pretty_runs``,
+    the only whitespace read is the ASCII space."""
+    text = text.strip(" ")
     if text == "0":
         return
     # normalize so each term starts with an explicit sign
     text = "+ " + text if not text.startswith(("+", "-")) else text
-    for chunk in re.finditer(r"([+-])\s*([^+-]+)", text):
-        sign, body = chunk.group(1), chunk.group(2).strip()
-        m = re.fullmatch(r"([0-9]+(?:/[0-9]+)?)?\s*([cd^0-9 ]*)", body)
+    for chunk in re.finditer(r"([+-]) *([^+-]+)", text):
+        sign, body = chunk.group(1), chunk.group(2).strip(" ")
+        m = re.fullmatch(r"([0-9]+(?:/[0-9]+)?)? *([cd^0-9 ]*)", body)
         if not m:
             raise InvalidParams(f"cannot parse term {body!r}")
-        coeff_text, word_text = m.group(1), (m.group(2) or "").strip()
+        coeff_text, word_text = m.group(1), (m.group(2) or "").strip(" ")
         if not coeff_text and not word_text:
             raise InvalidParams(f"cannot parse term {body!r}")
         if word_text in ("1", ""):

@@ -14,17 +14,15 @@ over a face are the AND of its vertices' bitsets.  Every bitset is a window
 ``(first, bits)`` stored from its first face on, so a face with few faces over
 it costs few bits however many faces the lattice has.  ``flag_vector`` is the
 lattice's only chain sweep: rank by rank, the faces with equal chain counts
-(packed into one int) form a group, and each face over them gets a group's
-count once, times how many of the group lie under it, counted for all faces
-at once with bit-sliced counters; windows that hold few faces for their span
-are peeled face by face instead.  The invariants that are linear forms on the
-flag vector are read from it by ``cdindex``.  ``is_eulerian`` ANDs windows
-over and under the two ends of each interval of even rank gap, and counts the
-one window of the other end when an end is the empty face or the top;
-``dual`` reads each face's window of facets; ``interval`` tests the faces in
-the windows of its lower end, or for a restriction those meeting its upper
-end.  This enumeration makes the module the ground truth every closed form is
-tested against.
+form a group, whose packed count is held once; each face keeps only a small
+key, its multiplicity in every group below as one mixed-radix digit, summed
+for all faces at once with bit-sliced counters.  The invariants that are
+linear forms on the flag vector are read from it by ``cdindex``.
+``is_eulerian`` ANDs windows over and under the two ends of each interval of
+even rank gap; ``dual`` reads each face's window of facets; ``interval``
+tests the faces in the windows of its lower end, or for a restriction those
+meeting its upper end.  This enumeration makes the module the ground truth
+every closed form is tested against.
 
 All counts are Python ints, so nothing overflows; lattices are immutable after
 construction and the internal caches are only ever filled, never invalidated,
@@ -34,8 +32,10 @@ so concurrent readers are safe.
 import itertools
 import json
 import math
+import operator
 import os
 import sys
+from collections import Counter
 
 from .errors import DeskScaleExceeded, FaceNotInLattice, InvalidParams
 from .families import cyclic_f
@@ -98,8 +98,9 @@ class FaceLattice:
                 f = next(f for f in level if not _natural_labels([f]))
                 raise InvalidParams(f"face {list(f)} of rank {rank} has a vertex"
                                     " label that is not an int >= 0")
-        # each face as its sorted tuple of distinct labels; repeats collapse
-        by_rank = [{tuple(sorted(set(f))) for f in level} for level in given]
+        # each face as its sorted tuple of distinct labels (kept if given so)
+        by_rank = [{f if all(map(operator.lt, f, f[1:])) else tuple(sorted(set(f)))
+                    for f in level} for level in given]
         del given
         _check_face_budget(sum(len(level) for level in by_rank))
         if len(by_rank[0]) != 1 or next(iter(by_rank[0])):
@@ -233,20 +234,20 @@ class FaceLattice:
                 for v, js in holding.items()}
         return windows
 
-    def _above(self, a: int, b: int, faces=None) -> list[tuple[int, int]]:
-        """For each rank-a face, or each of ``faces`` if given, the rank-b
-        faces over it as a window ``(first, bits)``: faces first + k for the
-        set bits k of bits.
+    def _above(self, a: int, b: int, faces=None):
+        """Yield for each rank-a face, or each of ``faces`` if given, the
+        rank-b faces over it as a window ``(first, bits)``: faces first + k
+        for the set bits k of bits.
 
         The lattice's one inclusion test: the window is the AND of the face's
         vertices' rank-b windows (every rank-b face for the empty face), so
-        only the faces over it are ever visited."""
+        only the faces over it are ever visited.  Windows are made as they
+        are read, so a caller that reads each once holds one at a time."""
         windows = self._vertex_windows(b)
         everything = (0, (1 << len(self._ranks[b + 1])) - 1)
-        out = []
         for f in self._ranks[a + 1] if faces is None else faces:
             if not f:
-                out.append(everything)
+                yield everything
                 continue
             vertices = iter(f)
             first, bits = windows.get(next(vertices), (0, 0))
@@ -259,8 +260,7 @@ class FaceLattice:
                     first = start
                 else:
                     bits &= vbits >> (first - start)
-            out.append((first, bits))
-        return out
+            yield first, bits
 
     def _meeting(self, face, b: int) -> tuple[int, int]:
         """The rank-b faces sharing a vertex with ``face``, as a window: the
@@ -280,39 +280,46 @@ class FaceLattice:
     def flag_vector(self) -> FlagVector:
         """All 2^d flag numbers, in one pass over the ranks.
 
-        Each proper face x carries its chain counts packed into one int: the
-        chains of rank set S ending at x fill a W-bit field at offset
-        W * sum(2^s for s in S).  With acc[x] the sum of those ints over the
-        faces under x, they are (1 + acc[x]) << (W << rank(x)), and f_S is
-        field S of the sum over all x.  No f_S exceeds the product of the
-        nonzero face counts, so W = that product's bit length + 1 never lets
-        a field carry into the next.
-
-        The faces of a rank with equal chain counts form a group, and each
-        face y above gets a group's count once, times its multiplicity: how
-        many of the group's faces lie under y (``_push``).  On the builders'
-        lattices every lower interval is a simplex or a cube, so each rank is
-        one group; duals of cyclic polytopes have a few per rank.
+        The chains of rank set S ending at a face are counted in the W-bit
+        field at offset W * sum(2^s for s in S) of one packed int; f_S is
+        field S of the sum over all proper faces.  No f_S exceeds the product
+        of the nonzero face counts, so W = its bit length + 1 never carries.
+        Faces of a rank with equal counts form a group, which alone holds the
+        packed count.  Rank by rank, each face y gets a small key instead:
+        its multiplicity in each group g below (how many of g's faces lie
+        under y, from ``_push``) as g's mixed-radix digit, 0..|g|.  Equal keys
+        mean equal counts, (1 + sum of m * count(g)) << (W << rank), so each
+        key is decoded once, and keys of equal count merge.  On the builders'
+        lattices each rank is one group; duals of cyclic polytopes have a few.
         """
         if self._flags is not None:
             return self._flags
         d = self.d
-        sizes = [len(level) for level in self._ranks[1:d + 1]]
-        width = math.prod(max(n, 1) for n in sizes).bit_length() + 1
-        acc = [[0] * n for n in sizes]
-        total = 0
-        for a in range(d):
-            chains, acc[a] = acc[a], None  # each sum is freed as its count is made
-            for x, below in enumerate(chains):
-                chains[x] = (1 + below) << (width << a)
-            total += sum(chains)
-            if a == d - 1:
-                break  # the top proper rank pushes nowhere
-            group = {}  # chain count -> group number, in order of first face
-            group_of = [group.setdefault(count, len(group)) for count in chains]
-            counts = list(group)
-            for b in range(a + 1, d):
-                self._push(a, b, counts, group_of, acc[b])
+        width = math.prod(max(len(level), 1)
+                          for level in self._ranks[1:d + 1]).bit_length() + 1
+        below = []  # (radix, count) of every group so far, by ascending radix
+        radices, group_of = [], []  # per rank: each group's radix, each face's group
+        radix, total = 1, 0
+        for b in range(d):
+            keys = [0] * len(self._ranks[b + 1])
+            for a in range(b):
+                self._push(a, b, radices[a], group_of[a], keys)
+            groups, number = {}, {}  # count -> [group, faces]; key -> group
+            for key, faces in Counter(keys).items():  # in order of first face
+                count, rest = 1, key
+                for r, c in reversed(below):  # each nonzero digit, highest first
+                    if rest >= r:
+                        m, rest = divmod(rest, r)
+                        count += m * c
+                group = groups.setdefault(count << (width << b), [len(groups), 0])
+                group[1] += faces
+                number[key] = group[0]
+            total += sum(count * faces for count, (_, faces) in groups.items())
+            group_of.append([number[key] for key in keys])
+            for count, (_, faces) in groups.items():
+                below.append((radix, count))
+                radix *= faces + 1
+            radices.append([r for r, _ in below[len(below) - len(groups):]])
         field = (1 << width) - 1
         entries = {(): 1}
         for S in sorted(index_sets(d)[1:]):
@@ -322,16 +329,16 @@ class FaceLattice:
 
     def _push(self, a: int, b: int, counts: list[int], group_of, into: list[int]):
         """Add counts[g] into into[y] for each rank-a face of group g and
-        each rank-b face y over it.
+        each rank-b face y over it; ``flag_vector`` passes each group's radix
+        as its count, so into[y] adds up to y's key.
 
-        A window goes into its group's bit-sliced counter when it holds at
-        least 2 + s / _PEEL_STEP_BITS faces, s = first + its bit length being
-        the bits it spans once aligned.
-        Plane i of a counter holds bit i of every rank-b face's multiplicity,
-        so adding a window is a ripple of C-level XORs and ANDs over the
-        planes, and each group adds count * m once per face y, m read off
-        its planes.  Any other window (a polygon's, or one spanning far more
-        faces than it holds) adds its count face by face, peeling its bits.
+        A window holding at least 2 + s / _PEEL_STEP_BITS faces, s = first +
+        its bit length being the bits it spans once aligned, goes into its
+        group's bit-sliced counter: plane i holds bit i of every rank-b
+        face's multiplicity m, so adding a window is a ripple of C-level XORs
+        and ANDs, and each group adds count * m once per face y.  Any other
+        window (a polygon's, or one spanning far more faces than it holds)
+        adds its count face by face, peeling its bits.
         """
         planes = [[] for _ in counts]
         for g, (first, bits) in zip(group_of, self._above(a, b)):
@@ -375,7 +382,7 @@ class FaceLattice:
         members = [(rl, lower)]
         for r in range(rl + 1, ru + 1):
             level = self._ranks[r + 1]
-            window = (self._above(rl, r, [lower])[0] if lower
+            window = (next(self._above(rl, r, [lower])) if lower
                       else self._meeting(upper, r))
             members += [(r, level[j]) for j in _members(*window)
                         if upper_labels.issuperset(level[j])]
@@ -441,7 +448,7 @@ class FaceLattice:
         is counted alone.
         """
         d = self.d
-        above = {(a, b): self._above(a, b)
+        above = {(a, b): list(self._above(a, b))
                  for a in range(-1, d) for b in range(a + 1, d)}
         for b in range(1, d + 1):
             # below[c][y]: the rank-c faces under rank-b face y as a window,
@@ -499,13 +506,8 @@ class FaceLattice:
     # serialization
 
     def to_json(self) -> str:
-        doc = {
-            "d": self.d,
-            "faces": [
-                {"rank": r, "vertices": list(f)} for r, f in self.all_faces()
-            ],
-        }
-        return json.dumps(doc)
+        return json.dumps({"d": self.d, "faces": [
+            {"rank": r, "vertices": list(f)} for r, f in self.all_faces()]})
 
     @classmethod
     def from_json(cls, text: str) -> "FaceLattice":
@@ -583,24 +585,21 @@ def _simplicial_lattice(d: int, n: int, facets) -> FaceLattice:
     """Close a set of facets (vertex tuples) under taking subsets, rank by
     rank: the faces of a rank are the sorted tuples that drop one vertex from
     a face of the rank above, so each face is made once per face over it."""
-    faces = [(-1, ()), (d, range(n))]
-    rank = {tuple(sorted(facet)) for facet in facets}
-    for r in range(d - 1, -1, -1):
-        faces += ((r, f) for f in rank)
-        rank = {f[:i] + f[i + 1:] for f in rank for i in range(r + 1)}
-    return FaceLattice(d, faces)
+    def faces():
+        yield from ((-1, ()), (d, tuple(range(n))))
+        rank = {tuple(sorted(facet)) for facet in facets}
+        for r in range(d - 1, -1, -1):
+            yield from ((r, f) for f in rank)
+            rank = {f[:i] + f[i + 1:] for f in rank for i in range(r + 1)}
+    return FaceLattice(d, faces())
 
 
 def build_simplex(d: int) -> FaceLattice:
     """Face lattice of the d-simplex: all subsets of d+1 vertices."""
     _check_dim(d, 0)
     _check_face_budget(1 << (d + 1))
-    verts = range(d + 1)
-    faces = []
-    for size in range(0, d + 2):
-        for sub in itertools.combinations(verts, size):
-            faces.append((size - 1, sub))
-    return FaceLattice(d, faces)
+    return FaceLattice(d, ((size - 1, sub) for size in range(d + 2)
+                           for sub in itertools.combinations(range(d + 1), size)))
 
 
 def _gale_facets(d: int, n: int):
@@ -650,23 +649,23 @@ def build_cube(d: int) -> FaceLattice:
     _check_dim(d, 1)
     _check_face_budget(3 ** d + 1)
     full = (1 << d) - 1
-    faces: list[tuple[int, list[int]]] = [(-1, [])]
-    for free in range(full + 1):
-        spans = list(_submasks(free))
-        rank = free.bit_count()
-        faces += [(rank, [base | s for s in spans])
-                  for base in _submasks(full ^ free)]
-    return FaceLattice(d, faces)
+
+    def faces():  # each face's labels ascend, as the submasks of free do
+        yield -1, ()
+        for free in range(full + 1):
+            rank, spans = free.bit_count(), list(_submasks(free))
+            for base in _submasks(full ^ free):
+                yield rank, tuple([base | s for s in spans])
+    return FaceLattice(d, faces())
 
 
 def _submasks(mask: int):
-    """Every submask of ``mask``, from ``mask`` itself down to 0."""
-    s = mask
-    while True:
+    """Every submask of ``mask``, from 0 up to ``mask`` itself."""
+    s = 0
+    while s != mask:
         yield s
-        if not s:
-            return
-        s = (s - 1) & mask
+        s = (s - mask) & mask
+    yield mask
 
 
 def build_crosspolytope(d: int) -> FaceLattice:

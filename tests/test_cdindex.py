@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,7 @@ from flagvec import (
     CdPolynomial,
     DegreeMismatch,
     FlagVector,
+    InvalidParams,
     MissingEntry,
     NotEulerian,
     ab_index,
@@ -29,6 +31,7 @@ from flagvec import (
     toric_h,
 )
 from flagvec.cdindex import (
+    _pretty_runs,
     cd_degree,
     word_for_set,
 )
@@ -251,6 +254,20 @@ def test_canonical_string_round_trip():
     assert CdPolynomial.from_str("c^2 + 2d") == CdPolynomial(2, {"cc": 1, "d": 2})
     assert CdPolynomial.from_str("-19c^6 + ccdcc") \
         == CdPolynomial(6, {"cccccc": -19, "ccdcc": 1})
+
+
+# the two readers of a cd-word agree: an ASCII space may stand between runs,
+# terms and coefficients, and no other whitespace may stand anywhere
+@pytest.mark.parametrize("text", ["2\u3000cc", "\u3000cc", "c\u3000c", "cc\u3000",
+                                  "c\tc", "\tcc", "cc\n", "2\xa0cc"])
+def test_cd_words_take_ascii_spaces_only(text):
+    with pytest.raises(InvalidParams, match="cannot parse"):
+        CdPolynomial.from_str(text)
+    with pytest.raises(InvalidParams, match="cannot parse"):
+        _pretty_runs(text.lstrip("2"))
+    spaced = re.sub(r"\s", " ", text)
+    assert CdPolynomial.from_str(spaced) == CdPolynomial(2, {"cc": 1 + text.startswith("2")})
+    assert _pretty_runs(spaced.lstrip("2 ")) == [("c", 1), ("c", 1)]
 
 
 @given(st.data())

@@ -325,6 +325,8 @@ def _convolve(coeffs: dict):
     (_convolve({"0": "4/2"}), {"01": "2"}),
     *((_convolve({"0": rat_to_str(x)}), {"01": rat_to_str(x)} if x else {})
       for x in (-7, 7, Fraction(-7, 3), 0)),
+    (("cdindex", "simplex", "-d", "3", "--coeff", "c\u3000d"),
+     "cannot parse cd-word 'c\\u3000d'"),
 ])
 def test_every_number_in_text_is_read_by_one_rule(capsys, argv, expected):
     code, out, err = run(capsys, *argv)

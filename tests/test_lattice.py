@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -417,13 +418,16 @@ def test_flag_vector_matches_the_all_pairs_chain_oracle(small_corpus):
     assert empty_rank.flag_number((0,)) == 3
     # duals of cyclic polytopes have several chain counts per rank, single
     # face deletions put bit-sliced and peeled windows into one group, and
-    # FALSE_SIMPLICES and the polygon peel every window
+    # FALSE_SIMPLICES and the polygon peel every window; on the deletions from
+    # a dual, faces with different multiplicity keys over many groups below
+    # share one chain count, so their keys merge into one group
     rng = random.Random(13)
     for L in [*_oracle_lattices(small_corpus), empty_rank,
               build_cyclic(6, 10).dual(), build_cyclic(7, 10).dual(),
               FaceLattice(5, FALSE_SIMPLICES),
               *_single_face_deletions(build_cube(4), rng, 4),
-              *_single_face_deletions(build_cyclic(5, 8), rng, 4)]:
+              *_single_face_deletions(build_cyclic(5, 8), rng, 4),
+              *_single_face_deletions(build_cyclic(6, 10).dual(), rng, 4)]:
         want = _flag_vector_oracle(L, _masks(L))
         got = L.flag_vector()
         assert got == want, L
@@ -643,6 +647,50 @@ def test_flag_vector_memory_grows_linearly_on_polygons():
     # linear growth gives about 4x for 4x the vertices; per-face vertex
     # bitmasks as wide as the highest label would give about 6x
     assert peak(8000) <= 5 * peak(2000)
+
+
+@pytest.mark.parametrize("build, args", [(build_crosspolytope, (8,)),
+                                         (build_cyclic, (8, 14))])
+def test_flag_vector_peak_is_small_beside_the_lattice(build, args):
+    build(*args)  # fill the caches a build uses, such as index_sets
+    gc.collect()  # a full collection empties the free lists earlier tests left
+    tracemalloc.start()
+    try:
+        L = build(*args)
+        size = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        L.flag_vector()
+        peak = tracemalloc.get_traced_memory()[1] - size
+    finally:
+        tracemalloc.stop()
+    # a packed chain count per face, width * 2^rank bits, peaked at about the
+    # lattice's own size; a small key per face and a count per group at 0.15
+    assert peak <= size / 2, (peak, size)
+
+
+def test_cube_build_holds_no_copy_of_its_faces():
+    build_cube(8)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        L = build_cube(8)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a list of every face as a list, copied to a tuple and then to a sorted
+    # tuple, peaked at 1.57 times the lattice; ascending tuples, made as the
+    # constructor reads them and kept as given, at 1.05 times
+    assert peak <= 1.25 * size, (peak, size)
+    assert L.face_count() == 3 ** 8 + 1
+
+
+def test_a_canonical_face_tuple_is_kept_as_given():
+    edge, top = (0, 2), (0, 1, 2)
+    L = FaceLattice(2, [(-1, ()), (0, (0,)), (0, [1]), (0, (2, 2)), (1, edge),
+                        (1, (2, 1)), (1, [1, 0, 1]), (1, (0, 1)), (2, top)])
+    assert L.faces(1)[1] is edge and L.top() is top
+    assert L.faces(0) == ((0,), (1,), (2,)) and L.faces(1) == ((0, 1), (0, 2), (1, 2))
+    assert L == build_simplex(2)
 
 
 def test_is_eulerian_memory_grows_linearly_on_polygons():
