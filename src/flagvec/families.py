@@ -56,6 +56,17 @@ def cyclic_sum_f(d: int, n: int) -> FVector:
     return connected_sum_f(f, f.reversed())
 
 
+def simplicial_flag_number(f, S) -> int:
+    """f_S of a simplicial polytope with f-vector f: f_(max S) times
+    C(b + 1, a + 1), the number of a-faces of a b-simplex, for each pair
+    a < b adjacent in S; f_() = 1."""
+    S = sorted(S)
+    value = f[S[-1]] if S else 1
+    for a, b in zip(S, S[1:]):
+        value *= comb(b + 1, a + 1)
+    return value
+
+
 class PropertyReport(Record):
     """Verdicts for the four properties with a violating index per failure."""
 

@@ -22,7 +22,7 @@ from .flagalg import (
     subset_key,
     write_flag_json,
 )
-from .families import PropertyReport, properties
+from .families import PropertyReport, cyclic_f, properties, simplicial_flag_number
 from .rational import normalize, rat_exact
 from .records import Record
 
@@ -304,16 +304,9 @@ def check_candidate(v) -> CandidateReport:
 def feasible_sample_boxes() -> dict[tuple[int, ...], tuple[int, int]]:
     """Integer sampling boxes for sparse 5-dimensional flag data, scaled to
     bracket the cyclic polytopes with 8 to 12 vertices."""
-    from .lattice import build_cyclic
-
-    lo = build_cyclic(5, 8).flag_vector()
-    hi = build_cyclic(5, 12).flag_vector()
-    boxes = {}
-    for S in sparse_basis(5):
-        if not S:
-            continue
-        boxes[S] = (max(1, int(lo.get(S)) // 2), 2 * int(hi.get(S)))
-    return boxes
+    lo, hi = cyclic_f(5, 8), cyclic_f(5, 12)
+    return {S: (max(1, simplicial_flag_number(lo, S) // 2),
+                2 * simplicial_flag_number(hi, S)) for S in sparse_basis(5) if S}
 
 
 def sample_feasible_5d(rng, count: int, max_tries: int = 20000) -> list[FlagVector]:

@@ -4,10 +4,11 @@ Each face is stored once, as the sorted tuple of its vertex labels, with an
 explicit rank (rank = dimension, so vertices have rank 0, the empty face rank
 -1, the whole polytope rank d); the order relation is set inclusion.  Vertex
 labels may be any nonnegative ints, and a large label costs no more than a
-small one.  Each rank is kept in ascending tuple order.  Every operation on
-a lattice (``flag_vector``, ``flag_number``, ``is_eulerian``, ``dual``,
-``interval``, ``quotient``, ``restriction``) is a ``FaceLattice`` method;
-the module's functions are the builders of the standard families.
+small one.  The ranks, each an ascending tuple of faces, are the only per-face
+structure: ``rank`` and every method taking a face bisect them.  Every
+operation on a lattice (``flag_vector``, ``flag_number``, ``is_eulerian``,
+``dual``, ``interval``, ``quotient``, ``restriction``) is a ``FaceLattice``
+method; the module's functions are the builders of the standard families.
 Everything here reads one exact inclusion incidence, ``_above``: per rank,
 each vertex has a bitset of the faces of that rank holding it, and the faces
 over a face are the AND of its vertices' bitsets.  Every bitset is a window
@@ -19,16 +20,17 @@ key, its multiplicity in every group below as one mixed-radix digit, summed
 for all faces at once with bit-sliced counters.  The invariants that are
 linear forms on the flag vector are read from it by ``cdindex``.
 ``is_eulerian`` ANDs windows over and under the two ends of each interval of
-even rank gap; ``dual`` reads each face's window of facets; ``interval``
-tests the faces in the windows of its lower end, or for a restriction those
-meeting its upper end.  This enumeration makes the module the ground truth
-every closed form is tested against.
+even rank gap; ``dual`` reads each face's window of facets; ``interval`` tests
+the faces in the windows of its lower end, or for a restriction those meeting
+its upper end.  This enumeration makes the module the ground truth every
+closed form is tested against.
 
 All counts are Python ints, so nothing overflows; lattices are immutable after
 construction and the internal caches are only ever filled, never invalidated,
 so concurrent readers are safe.
 """
 
+import bisect
 import itertools
 import json
 import math
@@ -93,46 +95,42 @@ class FaceLattice:
             if not -1 <= rank <= d:
                 raise InvalidParams(f"face rank {rank} outside -1..{d}")
             given[rank + 1].append(tuple(verts))
-        for rank, level in enumerate(given, -1):
+        # each rank as the ascending tuple of its distinct faces, each the
+        # sorted tuple of its distinct labels (kept if given so); each rank's
+        # list is dropped once its tuple is made, so no rank is held twice
+        self._ranks: list[tuple[tuple[int, ...], ...]] = []
+        for rank in range(-1, d + 1):
+            level = given.pop(0)
             if not _natural_labels(level):
                 f = next(f for f in level if not _natural_labels([f]))
                 raise InvalidParams(f"face {list(f)} of rank {rank} has a vertex"
                                     " label that is not an int >= 0")
-        # each face as its sorted tuple of distinct labels (kept if given so)
-        by_rank = [{f if all(map(operator.lt, f, f[1:])) else tuple(sorted(set(f)))
-                    for f in level} for level in given]
-        del given
-        _check_face_budget(sum(len(level) for level in by_rank))
-        if len(by_rank[0]) != 1 or next(iter(by_rank[0])):
+            for i, f in enumerate(level):
+                if not all(map(operator.lt, f, f[1:])):
+                    level[i] = tuple(sorted(set(f)))
+            level.sort()
+            self._ranks.append(tuple(map(operator.itemgetter(0),
+                                         itertools.groupby(level))))
+        _check_face_budget(self.face_count())
+        if len(self._ranks[0]) != 1 or self._ranks[0][0]:
             raise InvalidParams("need exactly one empty face of rank -1")
-        if len(by_rank[d + 1]) != 1:
+        if len(self._ranks[d + 1]) != 1:
             raise InvalidParams("need exactly one top face of rank d")
         vertices = set()
-        for v in by_rank[1]:
+        for v in self._ranks[1]:
             if len(v) != 1:
                 raise InvalidParams(f"rank 0 face {list(v)} is not a singleton")
             vertices.update(v)
-        top = next(iter(by_rank[d + 1]))
+        top = self._ranks[d + 1][0]
         if not vertices.issuperset(top):
             raise InvalidParams(f"face {list(top)} uses unknown vertices")
         top_labels = set(top)  # a face inside it uses known vertices only
-        for level in by_rank:
+        for level in self._ranks:
             if not top_labels.issuperset(itertools.chain.from_iterable(level)):
                 f = next(f for f in level if not top_labels.issuperset(f))
                 raise InvalidParams(f"face {list(f)} not contained in the top face")
 
         self.d = d
-        # each rank in ascending tuple order, which is the order of the faces'
-        # sorted label lists
-        self._ranks: list[tuple[tuple[int, ...], ...]] = [
-            tuple(sorted(level)) for level in by_rank]
-        del by_rank
-        # face -> (rank, index), keyed by the very tuples in _ranks
-        self._index: dict[tuple[int, ...], tuple[int, int]] = {}
-        for r, level in enumerate(self._ranks):
-            for i, f in enumerate(level):
-                if self._index.setdefault(f, (r - 1, i)) != (r - 1, i):
-                    raise InvalidParams(f"vertex set {list(f)} appears at two ranks")
         # lazily filled caches
         # per rank, each vertex -> (first, bits): the faces of that rank
         # holding it are first + k for the set bits k of bits
@@ -141,27 +139,28 @@ class FaceLattice:
         self._check_strict_inclusions()
 
     def _check_strict_inclusions(self):
-        """Refuse a face strictly inside a face of equal or lower rank.
-
-        Such a pair needs a rank-b face with more vertices than a rank-a face
-        for some b <= a, so lattices whose face size grows with the rank
-        (every builder here) skip the incidence sweep altogether.
-        """
+        """Refuse a face inside a face of equal or lower rank, strictly or as
+        one vertex set at two ranks.  That needs a rank-b face with as many
+        vertices as a rank-a face for some b < a, or more for b = a, so
+        lattices whose face size grows with the rank (every builder) skip it."""
         largest = [max(map(len, level), default=0) for level in self._ranks]
         smallest = [min(map(len, level), default=0) for level in self._ranks]
         for a in range(self.d + 1):
-            for b in range(a + 1):
-                if largest[b + 1] <= smallest[a + 1]:
+            for b in range(-1, a + 1):
+                if largest[b + 1] < smallest[a + 1] + (a == b):
                     continue
                 for i, (first, bits) in enumerate(self._above(a, b)):
                     if a == b:
                         bits ^= 1 << (i - first)  # a face lies in itself
                     if bits:
-                        j = first + (bits & -bits).bit_length() - 1
+                        f = self._ranks[a + 1][i]
+                        g = self._ranks[b + 1][first + (bits & -bits).bit_length() - 1]
+                        # f == g, or f inside a copy of a face of another rank
                         raise InvalidParams(
-                            f"face {list(self._ranks[a + 1][i])} of rank"
-                            f" {a} lies strictly inside face"
-                            f" {list(self._ranks[b + 1][j])} of rank {b}")
+                            f"vertex set {list(g)} appears at two ranks"
+                            if sum(g in level for level in self._ranks) > 1
+                            else f"face {list(f)} of rank {a} lies strictly inside"
+                                 f" face {list(g)} of rank {b}")
 
     # ------------------------------------------------------------------
     # basic queries
@@ -191,14 +190,18 @@ class FaceLattice:
 
     def _locate(self, face) -> tuple[int, int]:
         """(rank, index) of the face whose labels an iterable holds, in any
-        order and with repeats; anything else raises FaceNotInLattice."""
+        order and with repeats, by bisecting each rank; else FaceNotInLattice."""
         key = None
         try:
             key = tuple(sorted(set(face)))
-            return self._index[key]
-        except (TypeError, KeyError):  # not iterable, unhashable or unordered
-            shown = face if key is None else list(key)
-            raise FaceNotInLattice(f"{shown!r} is not a face") from None
+            for r, level in enumerate(self._ranks, -1):
+                i = bisect.bisect_left(level, key)
+                if i < len(level) and level[i] == key:
+                    return r, i
+        except TypeError:  # not iterable, unhashable or unordered
+            pass
+        shown = face if key is None else list(key)
+        raise FaceNotInLattice(f"{shown!r} is not a face")
 
     def rank(self, face) -> int:
         return self._locate(face)[0]
@@ -482,22 +485,18 @@ class FaceLattice:
                     if any(t != 2 for t in balance):
                         return False
                     continue
-                odd = [(above[a, c], below[c]) for c in range(a + 1, b, 2)]
-                even = [(above[a, c], below[c]) for c in range(a + 2, b, 2)]
+                between = [(1 if (c - a) % 2 else -1, above[a, c], below[c])
+                           for c in range(a + 1, b)]
                 for x, (first, bits) in enumerate(above[a, b]):
                     while bits:  # peel face y = first + k - 1 over face x
                         k = (bits & -bits).bit_length()
                         first += k
                         bits >>= k
                         balance = 0
-                        for up, down in odd:
+                        for sign, up, down in between:
                             (f1, m1), (f2, m2) = up[x], down[first - 1]
-                            balance += (m1 & m2 >> (f1 - f2) if f1 > f2
-                                        else m2 & m1 >> (f2 - f1)).bit_count()
-                        for up, down in even:
-                            (f1, m1), (f2, m2) = up[x], down[first - 1]
-                            balance -= (m1 & m2 >> (f1 - f2) if f1 > f2
-                                        else m2 & m1 >> (f2 - f1)).bit_count()
+                            balance += sign * (m1 & m2 >> (f1 - f2) if f1 > f2
+                                               else m2 & m1 >> (f2 - f1)).bit_count()
                         if balance != 2:
                             return False
         return True

@@ -104,19 +104,6 @@ def corpus() -> tuple[tuple[str, object], ...]:
     return tuple(items)
 
 
-def _simplicial_closed_form(L, S) -> int:
-    """Independent product formula for flag numbers of simplicial lattices."""
-    from math import comb
-
-    S = tuple(sorted(S))
-    if not S:
-        return 1
-    value = len(L.faces(S[-1]))
-    for a, b in zip(S, S[1:]):
-        value *= comb(b + 1, a + 1)
-    return value
-
-
 def _is_simplicial(L) -> bool:
     return L.d >= 1 and all(len(f) == L.d for f in L.faces(L.d - 1))
 
@@ -251,8 +238,9 @@ def run_verification(seed: int = 0) -> VerificationReport:
         if any(r != 0 for r in flagalg.gds_residuals(v)):
             gds_bad.append(name)
         if _is_simplicial(L):
+            f = L.f_vector()
             for S in flagalg.index_sets(L.d)[1:]:
-                if v.get(S) != _simplicial_closed_form(L, S):
+                if v.get(S) != families.simplicial_flag_number(f, S):
                     closed_bad.append((name, S))
                     break
         dual_v = L.dual().flag_vector()
