@@ -30,11 +30,14 @@ from .forms import FlagForm
 from .rational import count_from_str, normalize, rat_from_str, rat_to_str, shown
 
 
+_DEGREE = {"c": 1, "d": 2}  # the degree each letter of a cd-word counts
+
+
 def cd_degree(word: str) -> int:
     """Degree of a cd-word: c counts 1, d counts 2."""
     if any(ch not in "cd" for ch in word):
         raise InvalidParams(f"not a cd-word: {word!r}")
-    return sum(1 if ch == "c" else 2 for ch in word)
+    return sum(_DEGREE[ch] for ch in word)
 
 
 def _rev_key(word: str) -> tuple[int, ...]:
@@ -118,11 +121,8 @@ class CdPolynomial:
         parts = []
         for word, coeff in self.ordered_terms():
             coeff = normalize(coeff)
-            body = _pretty_word(word) or "1"
-            if abs(coeff) == 1 and word:
-                text = body
-            else:
-                text = f"{rat_to_str(abs(coeff))}{body if word else ''}" or rat_to_str(abs(coeff))
+            body = _pretty_word(word)
+            text = body if abs(coeff) == 1 and word else rat_to_str(abs(coeff)) + body
             parts.append(("- " if coeff < 0 else "+ ") + text)
         head = parts[0][2:] if parts[0].startswith("+ ") else "-" + parts[0][2:]
         return " ".join([head] + parts[1:])
@@ -172,6 +172,22 @@ def _pretty_runs(text: str) -> list[tuple[str, int]]:
     except InvalidParams:  # an exponent of more digits than a count has
         raise InvalidParams(
             f"cd-word {shown(text)} has an exponent too long to read") from None
+
+
+def read_cd_word(text: str, d: int) -> str:
+    """The cd-word ``text``, written as ``_pretty_runs`` reads it, spelled
+    out once its degree, read from the exponents, is known to be d."""
+    runs = _pretty_runs(text)
+    degree = sum(count * _DEGREE[letter] for letter, count in runs)
+    if not degree:
+        raise InvalidParams(f"empty cd-word {text!r}")
+    if degree != d:
+        try:
+            message = f"{shown(text)} has degree {degree}, need {d}"
+        except ValueError:  # a degree of more digits than str() may write
+            message = f"{shown(text)} has a degree far above the {d} needed"
+        raise DegreeMismatch(message)
+    return "".join(letter * count for letter, count in runs)
 
 
 def _parse_terms(text: str):
@@ -277,7 +293,7 @@ def cd_coefficient(source, word: str):
     if cd_degree(word) != v.d:
         raise DegreeMismatch(
             f"{word!r} has degree {cd_degree(word)}, need {v.d}")
-    return normalize(cd_index(v).coefficient(word))
+    return cd_index(v).coefficient(word)
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,7 @@ from functools import partial
 from . import __version__
 from . import cdindex as cdx
 from . import families, flagalg, forms, lattice, verify
-from .errors import DegreeMismatch, FlagVecError, InvalidParams, NotEulerian
+from .errors import FlagVecError, InvalidParams, NotEulerian
 from .rational import (approx_str, count_from_str, is_json_int, load_json,
                        rat_to_str, shown)
 
@@ -129,7 +129,7 @@ def cmd_flags(args) -> int:
 
 def cmd_cdindex(args) -> int:
     L = _build_family(args)
-    word = None if args.coeff is None else _normalize_word(args.coeff, L.d)
+    word = None if args.coeff is None else cdx.read_cd_word(args.coeff, L.d)
     v = L.flag_vector()
     if word is not None:
         value = rat_to_str(cdx.cd_coefficient(v, word))
@@ -141,21 +141,6 @@ def cmd_cdindex(args) -> int:
     _emit(args, {"d": L.d, "cd": poly.canonical_str(), "coeffs": coeffs},
           ["word", "coefficient"], coeffs.items())
     return 0
-
-
-def _normalize_word(text: str, d: int) -> str:
-    """The cd-word ``text`` spelled out, once its degree, read from the
-    exponents, is known to be d."""
-    runs = cdx._pretty_runs(text)
-    degree = sum(count if letter == "c" else 2 * count for letter, count in runs)
-    _need(degree > 0, f"empty cd-word {text!r}")
-    if degree != d:
-        try:
-            message = f"{shown(text)} has degree {degree}, need {d}"
-        except ValueError:  # a degree of more digits than str() may write
-            message = f"{shown(text)} has a degree far above the {d} needed"
-        raise DegreeMismatch(message)
-    return "".join(letter * count for letter, count in runs)
 
 
 def _parse_form(text: str) -> forms.FlagForm:

@@ -164,16 +164,19 @@ def g_forms(d: int) -> tuple[FlagForm, FlagForm | None]:
     return g0, g1
 
 
-def kalai_5d_summands() -> tuple[FlagForm, FlagForm, FlagForm]:
-    """The three convolutions of toric g forms that cover dimension 5:
-    g0^1 * g1^2 * g0^0,  g0^0 * g1^2 * g0^1  and  g1^2 * g1^2."""
+def kalai_5d_splits() -> tuple[tuple[FlagForm, FlagForm], ...]:
+    """The three (left, right) splits of toric g forms that cover dimension
+    5: g0^1 | g1^2 * g0^0,  g0^0 | g1^2 * g0^1  and  g1^2 | g1^2."""
     g0_0, _ = g_forms(0)
     g0_1, _ = g_forms(1)
     _, g1_2 = g_forms(2)
-    s1 = convolve(convolve(g0_1, g1_2), g0_0)
-    s2 = convolve(convolve(g0_0, g1_2), g0_1)
-    s3 = convolve(g1_2, g1_2)
-    return s1, s2, s3
+    return ((g0_1, convolve(g1_2, g0_0)), (g0_0, convolve(g1_2, g0_1)),
+            (g1_2, g1_2))
+
+
+def kalai_5d_summands() -> tuple[FlagForm, FlagForm, FlagForm]:
+    """The convolutions of the three splits of ``kalai_5d_splits``."""
+    return tuple(convolve(left, right) for left, right in kalai_5d_splits())
 
 
 def kalai_5d_form() -> FlagForm:
@@ -279,19 +282,18 @@ class CandidateReport(Record):
 
 
 def check_candidate(v) -> CandidateReport:
-    """Screen a complete or completable flag vector against the battery and
-    the f-vector property predicates."""
+    """Screen a complete or completable flag vector against the battery of
+    its dimension and the f-vector property predicates; a dimension without
+    a battery is refused before any completion."""
     if isinstance(v, dict):
         raise InvalidParams("pass a FlagVector; complete sparse data first")
-    d = v.d
-    if d not in (5, 6, 7):
-        raise UnsupportedDimension(f"candidate screening supports d in 5..7, got {d}")
+    bat = battery(v.d)
     if not v.complete:
-        v = complete_from_sparse(dict(v.entries), d)
-    values = battery(d).evaluate_all(v)
+        v = complete_from_sparse(dict(v.entries), v.d)
+    values = bat.evaluate_all(v)
     f = v.f_vector()
     return CandidateReport(
-        d=d,
+        d=v.d,
         f=tuple(f),
         battery_values=values,
         battery_ok=all(val >= 0 for val in values.values()),
@@ -309,13 +311,13 @@ def feasible_sample_boxes() -> dict[tuple[int, ...], tuple[int, int]]:
                 2 * simplicial_flag_number(hi, S)) for S in sparse_basis(5) if S}
 
 
-def sample_feasible_5d(rng, count: int, max_tries: int = 20000) -> list[FlagVector]:
-    """Rejection-sample complete 5-dimensional flag vectors with positive
-    face counts that pass the whole battery."""
+def sample_feasible_5d(rng, count: int) -> list[FlagVector]:
+    """Rejection-sample, in at most 20000 draws, complete 5-dimensional flag
+    vectors with positive face counts that pass the whole battery."""
     boxes = feasible_sample_boxes()
     bat = battery(5)
     out: list[FlagVector] = []
-    for _ in range(max_tries):
+    for _ in range(20000):
         if len(out) >= count:
             break
         values = {S: rng.randint(a, b) for S, (a, b) in boxes.items()}

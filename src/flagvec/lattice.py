@@ -154,7 +154,7 @@ class FaceLattice:
                         bits ^= 1 << (i - first)  # a face lies in itself
                     if bits:
                         f = self._ranks[a + 1][i]
-                        g = self._ranks[b + 1][first + (bits & -bits).bit_length() - 1]
+                        g = self._ranks[b + 1][_members(first, bits)[0]]
                         # f == g, or f inside a copy of a face of another rank
                         raise InvalidParams(
                             f"vertex set {list(g)} appears at two ranks"
@@ -355,6 +355,7 @@ class FaceLattice:
                     counter.append(carry)
                 continue
             count = counts[g]
+            # peeled inline: a call to _members per window is slower here
             while bits:  # peel the lowest set bit, face first + k - 1
                 k = (bits & -bits).bit_length()
                 first += k
@@ -461,15 +462,12 @@ class FaceLattice:
             for c in range((b + 1) % 2, b) if b < d else ():  # inside even gaps
                 firsts = [0] * len(self._ranks[b + 1])
                 masks = [0] * len(self._ranks[b + 1])
-                for z, (first, bits) in enumerate(above[c, b]):
-                    while bits:  # peel face y = first + k - 1 over face z
-                        k = (bits & -bits).bit_length()
-                        first += k
-                        bits >>= k
-                        if masks[first - 1]:
-                            masks[first - 1] |= 1 << (z - firsts[first - 1])
+                for z, window in enumerate(above[c, b]):
+                    for y in _members(*window):  # the faces y over face z
+                        if masks[y]:
+                            masks[y] |= 1 << (z - firsts[y])
                         else:
-                            firsts[first - 1], masks[first - 1] = z, 1
+                            firsts[y], masks[y] = z, 1
                 below[c] = list(zip(firsts, masks))
             for a in range(b - 2, -2, -2):
                 # faces at odd distance from x count +1, at even distance -1;
@@ -487,14 +485,11 @@ class FaceLattice:
                     continue
                 between = [(1 if (c - a) % 2 else -1, above[a, c], below[c])
                            for c in range(a + 1, b)]
-                for x, (first, bits) in enumerate(above[a, b]):
-                    while bits:  # peel face y = first + k - 1 over face x
-                        k = (bits & -bits).bit_length()
-                        first += k
-                        bits >>= k
+                for x, window in enumerate(above[a, b]):
+                    for y in _members(*window):  # the faces y over face x
                         balance = 0
                         for sign, up, down in between:
-                            (f1, m1), (f2, m2) = up[x], down[first - 1]
+                            (f1, m1), (f2, m2) = up[x], down[y]
                             balance += sign * (m1 & m2 >> (f1 - f2) if f1 > f2
                                                else m2 & m1 >> (f2 - f1)).bit_count()
                         if balance != 2:

@@ -141,6 +141,6 @@ def rat_exact(value, key):
         " give an int or a Fraction")
 
 
-def approx_str(x, digits: int = 12) -> str:
-    """Decimal approximation, explicitly not exact."""
-    return f"{float(Fraction(x)):.{digits}g}"
+def approx_str(x) -> str:
+    """Decimal approximation to 12 significant digits, explicitly not exact."""
+    return f"{float(Fraction(x)):.12g}"

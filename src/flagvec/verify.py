@@ -87,7 +87,8 @@ class VerificationReport(Record):
 
 @lru_cache(maxsize=1)
 def corpus() -> tuple[tuple[str, object], ...]:
-    """Named lattices forming the desk-scale test corpus (d <= 7)."""
+    """Named lattices forming the desk-scale test corpus (d <= 7); the
+    report reads every lattice it checks from here."""
     items: list[tuple[str, object]] = []
     for d in range(0, 8):
         items.append((f"simplex-{d}", lattice.build_simplex(d)))
@@ -97,7 +98,7 @@ def corpus() -> tuple[tuple[str, object], ...]:
         items.append((f"cube-{d}", lattice.build_cube(d)))
     for d in range(1, 7):
         items.append((f"crosspolytope-{d}", lattice.build_crosspolytope(d)))
-    for d, n in ((5, 6), (5, 7), (5, 8), (5, 9), (5, 10), (5, 12),
+    for d, n in ((5, 6), (5, 7), (5, 8), (5, 9), (5, 10), (5, 11), (5, 12),
                  (6, 8), (6, 9), (6, 10), (6, 12),
                  (7, 8), (7, 9), (7, 10), (7, 12)):
         items.append((f"cyclic-{d}-{n}", lattice.build_cyclic(d, n)))
@@ -119,9 +120,11 @@ def run_verification(seed: int = 0) -> VerificationReport:
     def check(name, passed, expected, computed, note=""):
         ok(CheckResult(name, bool(passed), str(expected), str(computed), note))
 
+    lattices = dict(corpus())
+
     # ---- cyclic 5-polytopes: closed form, enumeration, convexity failure
     closed = families.cyclic_f(5, 8)
-    enumerated = lattice.build_cyclic(5, 8).f_vector()
+    enumerated = lattices["cyclic-5-8"].f_vector()
     check("cyclic5-8-closed-form", closed == (8, 28, 52, 50, 20),
           "(8, 28, 52, 50, 20)", str(tuple(closed)))
     check("cyclic5-8-enumeration", enumerated == closed,
@@ -145,10 +148,8 @@ def run_verification(seed: int = 0) -> VerificationReport:
     total = (s1 + s2 + s3).reduced()
     check("kalai-form-reduction", total == forms.FlagForm(5, {(1,): -6, (2,): 9, (3,): -6}),
           "9f_2 - 6f_1 - 6f_3", repr(total))
-    kalai_vals = []
-    for n in range(6, 13):
-        v = lattice.build_cyclic(5, n).flag_vector()
-        kalai_vals.append(total.evaluate(v))
+    kalai_vals = [total.evaluate(lattices[f"cyclic-5-{n}"].flag_vector())
+                  for n in range(6, 13)]
     check("kalai-on-cyclic5", all(val == 0 for val in kalai_vals),
           "0 for n = 6..12", str([rat_to_str(v) for v in kalai_vals]),
           "cyclic 5-polytopes are tight for the convolution bound")
@@ -163,12 +164,10 @@ def run_verification(seed: int = 0) -> VerificationReport:
     check("cd-c2dc3-flag-form", form7.gds_equal(want7),
           "f_0 - f_1 + f_2 - 2", repr(form7),
           "the trailing c has no effect")
-    simplex6 = lattice.build_simplex(6).flag_vector()
-    simplex7 = lattice.build_simplex(7).flag_vector()
-    val6 = forms.flag_form(6, {(0,): 1, (1,): -1, (2,): 1, (): -21}).evaluate(simplex6)
-    val7 = forms.flag_form(7, {(0,): 1, (1,): -1, (2,): 1, (): -36}).evaluate(simplex7)
-    check("cd-bound-tight-on-simplex-6", val6 == 0, "0", rat_to_str(val6))
-    check("cd-bound-tight-on-simplex-7", val7 == 0, "0", rat_to_str(val7))
+    for d, member in ((6, "cd-c2dc2-bound"), (7, "cd-c2dc3-bound")):
+        simplex = lattices[f"simplex-{d}"].flag_vector()
+        value = forms.battery(d).evaluate_all(simplex)[member]
+        check(f"cd-bound-tight-on-simplex-{d}", value == 0, "0", rat_to_str(value))
 
     # ---- candidate completions
     f5_ok, battery_ok, u_flags, star_gaps = [], [], [], []
@@ -233,7 +232,7 @@ def run_verification(seed: int = 0) -> VerificationReport:
     gds_bad, closed_bad, dual_bad, toric_bad, cd_bad = [], [], [], [], []
     five_d_unimodal, six_d_chain = [], []
     min_prop3_gap = None
-    for name, L in corpus():
+    for name, L in lattices.items():
         v = L.flag_vector()
         if any(r != 0 for r in flagalg.gds_residuals(v)):
             gds_bad.append(name)
@@ -281,21 +280,11 @@ def run_verification(seed: int = 0) -> VerificationReport:
     check("oracle-cd-nonnegative", not cd_bad,
           "all cd coefficients >= 0", str(cd_bad or "all good"))
 
-    c58 = lattice.build_cyclic(5, 8)
-    g0_0, _ = forms.g_forms(0)
-    g0_1, _ = forms.g_forms(1)
-    _, g1_2 = forms.g_forms(2)
-    splits = [
-        ("g0^1 | g1^2 * g0^0", g0_1, forms.convolve(g1_2, g0_0)),
-        ("g0^0 | g1^2 * g0^1", g0_0, forms.convolve(g1_2, g0_1)),
-        ("g1^2 | g1^2", g1_2, g1_2),
-    ]
-    dual_path_ok = True
-    for _, m1, m2 in splits:
-        direct = forms.evaluate_by_face_sum(m1, m2, c58)
-        via_index = forms.convolve(m1, m2).evaluate(c58.flag_vector())
-        if direct != via_index:
-            dual_path_ok = False
+    c58 = lattices["cyclic-5-8"]
+    dual_path_ok = all(
+        forms.evaluate_by_face_sum(left, right, c58)
+        == forms.convolve(left, right).evaluate(c58.flag_vector())
+        for left, right in forms.kalai_5d_splits())
     check("oracle-convolution-dual-path", dual_path_ok,
           "face-sum evaluation equals index-shift evaluation on cyclic(5,8)",
           str(dual_path_ok))

@@ -22,6 +22,7 @@ from flagvec import (
     dual_form,
     evaluate_by_face_sum,
     flag_form,
+    forms,
     g_forms,
     kalai_5d_form,
     kalai_5d_summands,
@@ -200,6 +201,15 @@ def test_check_candidate_7d():
 def test_check_candidate_accepts_sparse_vectors():
     rep = check_candidate(FlagVector(6, candidate_6d(1)))
     assert rep.f[5] == 9
+
+
+def test_check_candidate_refuses_a_dimension_without_a_battery_first(monkeypatch):
+    def complete(*args):
+        raise AssertionError("completed a vector that has no battery")
+
+    monkeypatch.setattr(forms, "complete_from_sparse", complete)
+    with pytest.raises(UnsupportedDimension, match="no inequality battery for d=20"):
+        check_candidate(FlagVector(20, {(0,): 21}))
 
 
 def test_check_candidate_on_lattice_data():
