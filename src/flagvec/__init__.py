@@ -48,7 +48,6 @@ from .forms import (
     convolve,
     dual_form,
     evaluate_by_face_sum,
-    flag_form,
     g_forms,
     kalai_5d_form,
     kalai_5d_summands,

@@ -129,16 +129,19 @@ class CdPolynomial:
 
     @classmethod
     def from_str(cls, text: str) -> "CdPolynomial":
+        """Each term's degree is read from its exponents, so a term of
+        another degree is refused before it is spelled out."""
         terms: dict[str, object] = {}
         degree = None
         for sign, coeff_text, word_text in _parse_terms(text):
-            word = "".join(letter * n for letter, n in _pretty_runs(word_text))
+            runs = _pretty_runs(word_text)
+            if degree is None:
+                degree = _runs_degree(runs)
+            elif _runs_degree(runs) != degree:
+                raise InvalidParams(f"mixed degrees in {text!r}")
+            word = "".join(letter * n for letter, n in runs)
             coeff = rat_from_str(coeff_text) if coeff_text else 1
             coeff = -coeff if sign == "-" else coeff
-            if degree is None:
-                degree = cd_degree(word)
-            elif cd_degree(word) != degree:
-                raise InvalidParams(f"mixed degrees in {text!r}")
             terms[word] = terms.get(word, 0) + coeff
         if degree is None:
             raise InvalidParams(f"cannot parse cd-polynomial {text!r}")
@@ -174,11 +177,16 @@ def _pretty_runs(text: str) -> list[tuple[str, int]]:
             f"cd-word {shown(text)} has an exponent too long to read") from None
 
 
+def _runs_degree(runs: list[tuple[str, int]]) -> int:
+    """The degree of a cd-word given as its (letter, count) runs."""
+    return sum(count * _DEGREE[letter] for letter, count in runs)
+
+
 def read_cd_word(text: str, d: int) -> str:
     """The cd-word ``text``, written as ``_pretty_runs`` reads it, spelled
     out once its degree, read from the exponents, is known to be d."""
     runs = _pretty_runs(text)
-    degree = sum(count * _DEGREE[letter] for letter, count in runs)
+    degree = _runs_degree(runs)
     if not degree:
         raise InvalidParams(f"empty cd-word {text!r}")
     if degree != d:

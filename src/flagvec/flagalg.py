@@ -176,9 +176,6 @@ class FlagVector:
     def f_vector(self) -> FVector:
         return FVector(self.get((i,)) for i in range(self.d))
 
-    def sparse_values(self) -> dict[tuple[int, ...], object]:
-        return {S: self.get(S) for S in sparse_basis(self.d)}
-
     def to_json(self) -> str:
         return write_flag_json(self.d, "entries", self.entries)
 
@@ -224,11 +221,6 @@ def sparse_basis(d: int) -> tuple[tuple[int, ...], ...]:
 def _min_offender(S: tuple[int, ...], d: int):
     """The smallest p in the sorted set S with p + 1 in S or p = d - 1."""
     return next((p for p, q in zip(S, S[1:] + (d,)) if q == p + 1), None)
-
-
-def is_sparse(S, d: int) -> bool:
-    S = tuple(sorted(set(S)))
-    return all(0 <= s < d for s in S) and _min_offender(S, d) is None
 
 
 # ----------------------------------------------------------------------

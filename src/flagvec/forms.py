@@ -8,6 +8,7 @@ Dehn-Sommerville relations, which is how the classical identities are stated.
 """
 
 from fractions import Fraction
+from math import comb, gcd
 
 from .errors import DimensionMismatch, InvalidParams, MissingEntry, UnsupportedDimension
 from .flagalg import (
@@ -118,10 +119,6 @@ class FlagForm:
         return cls(*read_flag_json(text, "coeffs"))
 
 
-def flag_form(d: int, coeffs: dict) -> FlagForm:
-    return FlagForm(d, coeffs)
-
-
 def dual_form(m: FlagForm) -> FlagForm:
     """Index reversal s -> d-1-s, the combinatorial polarity on forms."""
     return FlagForm(m.d, {tuple(sorted(m.d - 1 - s for s in S)): c
@@ -214,9 +211,6 @@ class InequalityBattery:
     def evaluate_all(self, v: FlagVector) -> dict[str, object]:
         return {m.name: m.form.evaluate(v) for m in self.members}
 
-    def violations(self, v: FlagVector) -> list[str]:
-        return [name for name, val in self.evaluate_all(v).items() if val < 0]
-
 
 def _dual_member(member: BatteryMember, source: str = "") -> BatteryMember:
     """The index reversal of a battery member, named after it."""
@@ -225,42 +219,35 @@ def _dual_member(member: BatteryMember, source: str = "") -> BatteryMember:
 
 
 def battery(d: int) -> InequalityBattery:
-    """The closed list of linear inequalities used at d = 5, 6, 7."""
-    if d == 5:
-        edge = BatteryMember("edge-vertex-bound",
-                             flag_form(5, {(1,): 2, (0,): -5}),
-                             "every vertex of a 5-polytope meets at least 5 edges")
-        g1 = BatteryMember("g1-convolution",
-                           kalai_5d_form(),
-                           "sum of the three nonnegative g1 convolution"
-                           " splittings of dimension 5")
-        members = [edge, _dual_member(edge, "dual form: every facet has at least 5 ridges"),
-                   g1, _dual_member(g1)]
-    elif d == 6:
-        edge = BatteryMember("edge-vertex-bound",
-                             flag_form(6, {(1,): 1, (0,): -3}),
-                             "every vertex of a 6-polytope meets at least 6 edges")
-        cd = BatteryMember("cd-c2dc2-bound",
-                           flag_form(6, {(0,): 1, (1,): -1, (2,): 1, (): -21}),
-                           "nonnegativity of the cd-index coefficient"
-                           " <c^2dc^2 - 19c^6>")
-        members = [edge, cd,
-                   _dual_member(edge, "dual form: every facet has at least 6 ridges"),
-                   _dual_member(cd)]
-    elif d == 7:
-        edge = BatteryMember("edge-vertex-bound",
-                             flag_form(7, {(1,): 2, (0,): -7}),
-                             "every vertex of a 7-polytope meets at least 7 edges")
-        cd = BatteryMember("cd-c2dc3-bound",
-                           flag_form(7, {(0,): 1, (1,): -1, (2,): 1, (): -36}),
-                           "nonnegativity of the cd-index coefficient"
-                           " <c^2dc^3 - 34c^7>")
-        members = [edge, cd,
-                   _dual_member(edge, "dual form: every facet has at least 7 ridges"),
-                   _dual_member(cd)]
-    else:
+    """The linear inequalities asserted at d = 5, 6, 7, each bound with its
+    index reversal: every vertex meets at least d edges (2f_1 >= d f_0); at
+    d = 5, Kalai's sum of nonnegative g1 convolutions; at d = 6, 7, the
+    cd-index coefficient of c^2dc^(d-4) is at least the d-simplex's
+    (f_0 - f_1 + f_2 - 2 minus its value on the simplex, whose f_i is
+    C(d+1, i+1))."""
+    if d not in (5, 6, 7):
         raise UnsupportedDimension(f"no inequality battery for d={d}")
-    return InequalityBattery(d, members)
+    g = gcd(2, d)
+    edge = BatteryMember("edge-vertex-bound",
+                         FlagForm(d, {(1,): 2 // g, (0,): -d // g}),
+                         f"every vertex of a {d}-polytope meets at least {d} edges")
+    if d == 5:
+        second = BatteryMember("g1-convolution", kalai_5d_form(),
+                               "sum of the three nonnegative g1 convolution"
+                               " splittings of dimension 5")
+    else:
+        c2dc = FlagForm(d, {(0,): 1, (1,): -1, (2,): 1, (): -2})
+        simplex_f = [comb(d + 1, i + 1) for i in range(d)]
+        least = sum(c * simplicial_flag_number(simplex_f, S)
+                    for S, c in c2dc.coeffs.items())
+        second = BatteryMember(f"cd-c2dc{d - 4}-bound",
+                               c2dc - FlagForm(d, {(): least}),
+                               "nonnegativity of the cd-index coefficient"
+                               f" <c^2dc^{d - 4} - {least}c^{d}>")
+    return InequalityBattery(d, [
+        edge, second,
+        _dual_member(edge, f"dual form: every facet has at least {d} ridges"),
+        _dual_member(second)])
 
 
 class CandidateReport(Record):

@@ -621,13 +621,11 @@ def build_cyclic(d: int, n: int) -> FaceLattice:
     any two vertices outside S have evenly many elements of S between them
     (Gale 1963; Ziegler, Lectures on Polytopes, Thm 0.7).  They are generated
     run by run (``_gale_facets``), so no other subset is tested; all proper
-    faces are subsets of facets since the polytope is simplicial.  The only
-    refusals are the dimension bound and the face budget, which is checked
-    against the closed-form face count before any facet is made.
+    faces are subsets of facets since the polytope is simplicial.  The
+    dimension bound, ``cyclic_f``'s refusal of n <= d and the face budget on
+    its closed-form face count all come before any facet is made.
     """
     _check_dim(d, 2)
-    if n <= d:
-        raise InvalidParams(f"cyclic polytope needs n >= d+1, got n={n}, d={d}")
     _check_face_budget(sum(cyclic_f(d, n)) + 2)
     return _simplicial_lattice(d, n, _gale_facets(d, n))
 

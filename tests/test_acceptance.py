@@ -51,12 +51,12 @@ def test_criterion_1_cyclic5_nonconvexity():
 def test_criterion_2_kalai_derivation():
     with criterion("2 convolution derivation"):
         s1, s2, s3 = fv.kalai_5d_summands()
-        assert s1.reduced() == fv.flag_form(5, {(1,): -6, (0, 2): 3, (1, 3): -1})
-        assert s2.reduced() == fv.flag_form(5, {(1, 3): 2, (0, 3): -3})
-        assert s3.reduced() == fv.flag_form(
+        assert s1.reduced() == fv.FlagForm(5, {(1,): -6, (0, 2): 3, (1, 3): -1})
+        assert s2.reduced() == fv.FlagForm(5, {(1, 3): 2, (0, 3): -3})
+        assert s3.reduced() == fv.FlagForm(
             5, {(2,): 9, (3,): -6, (0, 2): -3, (0, 3): 3, (1, 3): -1})
         total = (s1 + s2 + s3).reduced()
-        assert total == fv.flag_form(5, {(2,): 9, (1,): -6, (3,): -6})
+        assert total == fv.FlagForm(5, {(2,): 9, (1,): -6, (3,): -6})
         for n in range(6, 13):
             value = total.evaluate(fv.build_cyclic(5, n).flag_vector())
             assert value >= 0
@@ -67,11 +67,11 @@ def test_criterion_3_cd_flag_forms():
     with criterion("3 cd-words as flag forms"):
         want = {(0,): 1, (1,): -1, (2,): 1, (): -2}
         assert fv.cd_word_to_flag_form("ccdcc", 6).gds_equal(
-            fv.flag_form(6, want))
+            fv.FlagForm(6, want))
         assert fv.cd_word_to_flag_form("ccdccc", 7).gds_equal(
-            fv.flag_form(7, want))
-        bound6 = fv.flag_form(6, {(0,): 1, (1,): -1, (2,): 1, (): -21})
-        bound7 = fv.flag_form(7, {(0,): 1, (1,): -1, (2,): 1, (): -36})
+            fv.FlagForm(7, want))
+        bound6 = fv.FlagForm(6, {(0,): 1, (1,): -1, (2,): 1, (): -21})
+        bound7 = fv.FlagForm(7, {(0,): 1, (1,): -1, (2,): 1, (): -36})
         assert bound6.evaluate(fv.build_simplex(6).flag_vector()) == 0
         assert bound7.evaluate(fv.build_simplex(7).flag_vector()) == 0
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from flagvec import (
     CdPolynomial,
     DegreeMismatch,
+    FlagForm,
     FlagVector,
     InvalidParams,
     MissingEntry,
@@ -24,7 +26,6 @@ from flagvec import (
     cd_index,
     cd_word_to_flag_form,
     cd_words,
-    flag_form,
     sparse_basis,
     stanley_nonneg_check,
     toric_g,
@@ -183,11 +184,11 @@ def test_cd_coefficient_examples():
 
 
 def test_cd_word_forms_match_worked_values():
-    want = flag_form(6, {(0,): 1, (1,): -1, (2,): 1, (): -2})
+    want = FlagForm(6, {(0,): 1, (1,): -1, (2,): 1, (): -2})
     assert cd_word_to_flag_form("ccdcc", 6).gds_equal(want)
-    want7 = flag_form(7, {(0,): 1, (1,): -1, (2,): 1, (): -2})
+    want7 = FlagForm(7, {(0,): 1, (1,): -1, (2,): 1, (): -2})
     assert cd_word_to_flag_form("ccdccc", 7).gds_equal(want7)
-    assert cd_word_to_flag_form("c" * 7, 7) == flag_form(7, {(): 1})
+    assert cd_word_to_flag_form("c" * 7, 7) == FlagForm(7, {(): 1})
     with pytest.raises(DegreeMismatch):
         cd_word_to_flag_form("dd", 5)
 
@@ -254,6 +255,17 @@ def test_canonical_string_round_trip():
     assert CdPolynomial.from_str("c^2 + 2d") == CdPolynomial(2, {"cc": 1, "d": 2})
     assert CdPolynomial.from_str("-19c^6 + ccdcc") \
         == CdPolynomial(6, {"cccccc": -19, "ccdcc": 1})
+
+
+def test_a_term_of_another_degree_is_refused_before_it_is_spelled():
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParams, match="mixed degrees"):
+            CdPolynomial.from_str("c + c10000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # spelled out, c^(10^7) alone would take about 10 MiB
 
 
 # the two readers of a cd-word agree: an ASCII space may stand between runs,

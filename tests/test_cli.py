@@ -443,7 +443,7 @@ def test_the_public_names_change_only_by_a_reviewed_diff():
         "cd_coefficient", "cd_index", "cd_word_to_flag_form", "cd_words",
         "check_candidate", "complete_from_sparse", "connected_sum_f", "convolve",
         "cyclic_f", "cyclic_sum_f", "dual_form", "euler_check",
-        "evaluate_by_face_sum", "flag_form", "g_forms", "gds_pairs", "gds_relation",
+        "evaluate_by_face_sum", "g_forms", "gds_pairs", "gds_relation",
         "gds_residuals", "kalai_5d_form", "kalai_5d_summands", "logconv_scan",
         "neighborly_gap", "properties", "reduce_index", "run_verification",
         "sample_feasible_5d", "sparse_basis", "stanley_nonneg_check", "toric_g",

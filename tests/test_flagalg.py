@@ -27,7 +27,6 @@ from flagvec import (
 from flagvec.flagalg import (
     _min_offender,
     index_sets,
-    is_sparse,
     parse_subset_key,
     subset_key,
 )
@@ -155,13 +154,13 @@ def test_reduction_support_is_sparse(data):
     S = tuple(sorted(data.draw(
         st.sets(st.integers(min_value=0, max_value=d - 1), max_size=d))))
     for T in reduce_index(S, d):
-        assert is_sparse(T, d)
+        assert _min_offender(T, d) is None
 
 
 def test_complete_from_sparse_round_trips_lattice_data():
     for L in (build_simplex(7), build_cyclic(6, 9)):
         v = L.flag_vector()
-        again = complete_from_sparse(v.sparse_values(), L.d)
+        again = complete_from_sparse({S: v.get(S) for S in sparse_basis(L.d)}, L.d)
         assert again == v
 
 

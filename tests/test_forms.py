@@ -21,7 +21,6 @@ from flagvec import (
     convolve,
     dual_form,
     evaluate_by_face_sum,
-    flag_form,
     forms,
     g_forms,
     kalai_5d_form,
@@ -34,20 +33,20 @@ def test_evaluate_on_lattice_vectors(simplex5, simplex6, c58):
     g0, g1 = g_forms(5)
     assert g1.evaluate(simplex5.flag_vector()) == 0
     assert g1.evaluate(c58.flag_vector()) == 2
-    form = flag_form(5, {(2,): 3, (1,): -2, (3,): -2})
+    form = FlagForm(5, {(2,): 3, (1,): -2, (3,): -2})
     assert form.evaluate(c58.flag_vector()) == 0  # 156 - 56 - 100
-    bound = flag_form(6, {(0,): 1, (1,): -1, (2,): 1, (): -21})
+    bound = FlagForm(6, {(0,): 1, (1,): -1, (2,): 1, (): -21})
     assert bound.evaluate(simplex6.flag_vector()) == 0
 
 
 def test_evaluate_dimension_mismatch(simplex5):
     with pytest.raises(DimensionMismatch):
-        flag_form(4, {(0,): 1}).evaluate(simplex5.flag_vector())
+        FlagForm(4, {(0,): 1}).evaluate(simplex5.flag_vector())
 
 
 def test_evaluate_completes_sparse_vectors():
     sparse = FlagVector(6, candidate_6d(0))
-    form = flag_form(6, {(5,): 1})
+    form = FlagForm(6, {(5,): 1})
     assert form.evaluate(sparse) == 7
 
 
@@ -56,23 +55,23 @@ def test_evaluate_raises_when_sparse_entries_are_missing():
 
     v = FlagVector(5, {(0,): 6})
     with pytest.raises(MissingEntry):
-        flag_form(5, {(1,): 1}).evaluate(v)
+        FlagForm(5, {(1,): 1}).evaluate(v)
     with pytest.raises(MissingEntry):
-        flag_form(5, {(1, 2): 1}).evaluate(v)
+        FlagForm(5, {(1, 2): 1}).evaluate(v)
 
 
 def test_convolution_smallest_case():
-    e = flag_form(0, {(): 1})
-    assert convolve(e, e) == flag_form(1, {(0,): 1})
+    e = FlagForm(0, {(): 1})
+    assert convolve(e, e) == FlagForm(1, {(0,): 1})
 
 
 def test_convolution_matches_worked_examples():
     # f_empty^1 * (f_0^2 - 3) = f_12^4 - 3 f_1^4
-    left = flag_form(1, {(): 1})
-    g12 = flag_form(2, {(0,): 1, (): -3})
-    assert convolve(left, g12) == flag_form(4, {(1, 2): 1, (1,): -3})
+    left = FlagForm(1, {(): 1})
+    g12 = FlagForm(2, {(0,): 1, (): -3})
+    assert convolve(left, g12) == FlagForm(4, {(1, 2): 1, (1,): -3})
     # (f_0^2 - 3) * (f_0^2 - 3) = f_023 - 3 f_02 - 3 f_23 + 9 f_2
-    assert convolve(g12, g12) == flag_form(
+    assert convolve(g12, g12) == FlagForm(
         5, {(0, 2, 3): 1, (0, 2): -3, (2, 3): -3, (2,): 9})
 
 
@@ -90,11 +89,11 @@ def test_convolution_associativity_on_g_forms():
 
 
 def test_face_sum_counts_faces():
-    e = flag_form(0, {(): 1})
+    e = FlagForm(0, {(): 1})
     L = build_cube(3)
     for d1 in range(0, 3):
-        m2 = flag_form(L.d - d1 - 1, {(): 1})
-        assert evaluate_by_face_sum(flag_form(d1, {(): 1}), m2, L) \
+        m2 = FlagForm(L.d - d1 - 1, {(): 1})
+        assert evaluate_by_face_sum(FlagForm(d1, {(): 1}), m2, L) \
             == len(L.faces(d1))
     assert convolve(e, e).d == 1
 
@@ -129,11 +128,11 @@ def test_g_forms_on_polygons():
 
 def test_kalai_summands_reduce_to_the_worked_rows():
     s1, s2, s3 = kalai_5d_summands()
-    assert s1.reduced() == flag_form(5, {(1,): -6, (0, 2): 3, (1, 3): -1})
-    assert s2.reduced() == flag_form(5, {(1, 3): 2, (0, 3): -3})
-    assert s3.reduced() == flag_form(
+    assert s1.reduced() == FlagForm(5, {(1,): -6, (0, 2): 3, (1, 3): -1})
+    assert s2.reduced() == FlagForm(5, {(1, 3): 2, (0, 3): -3})
+    assert s3.reduced() == FlagForm(
         5, {(2,): 9, (3,): -6, (0, 2): -3, (0, 3): 3, (1, 3): -1})
-    assert kalai_5d_form() == flag_form(5, {(1,): -6, (2,): 9, (3,): -6})
+    assert kalai_5d_form() == FlagForm(5, {(1,): -6, (2,): 9, (3,): -6})
 
 
 def test_kalai_form_is_tight_on_cyclic():
@@ -144,16 +143,16 @@ def test_kalai_form_is_tight_on_cyclic():
 
 def test_gds_equivalence_of_forms():
     # f_124 and f_123 define the same functional on Eulerian data
-    a = flag_form(5, {(1, 2, 4): 1})
-    b = flag_form(5, {(1, 2, 3): 1})
+    a = FlagForm(5, {(1, 2, 4): 1})
+    b = FlagForm(5, {(1, 2, 3): 1})
     assert a != b
     assert a.gds_equal(b)
-    assert not a.gds_equal(flag_form(5, {(1, 3): 1}))
+    assert not a.gds_equal(FlagForm(5, {(1, 3): 1}))
 
 
 def test_dual_form_reverses_indices():
-    m = flag_form(6, {(0,): 1, (1,): -1, (2,): 1, (): -21})
-    assert dual_form(m) == flag_form(6, {(5,): 1, (4,): -1, (3,): 1, (): -21})
+    m = FlagForm(6, {(0,): 1, (1,): -1, (2,): 1, (): -21})
+    assert dual_form(m) == FlagForm(6, {(5,): 1, (4,): -1, (3,): 1, (): -21})
 
 
 def test_battery_nonnegative_on_corpus(small_corpus):
@@ -164,18 +163,59 @@ def test_battery_nonnegative_on_corpus(small_corpus):
         bat = battery(L.d)
         values = bat.evaluate_all(L.flag_vector())
         assert all(v >= 0 for v in values.values()), (L, values)
-        assert not bat.violations(L.flag_vector())
+
+
+# The batteries typed member by member, the oracle for battery(d), which
+# computes each bound and takes the cd constants from the simplex.
+TYPED_BATTERIES = {
+    5: [("edge-vertex-bound", {(1,): 2, (0,): -5},
+         "every vertex of a 5-polytope meets at least 5 edges"),
+        ("edge-vertex-bound-dual", {(3,): 2, (4,): -5},
+         "dual form: every facet has at least 5 ridges"),
+        ("g1-convolution", {(1,): -6, (2,): 9, (3,): -6},
+         "sum of the three nonnegative g1 convolution splittings of dimension 5"),
+        ("g1-convolution-dual", {(3,): -6, (2,): 9, (1,): -6},
+         "index reversal of g1-convolution")],
+    6: [("edge-vertex-bound", {(1,): 1, (0,): -3},
+         "every vertex of a 6-polytope meets at least 6 edges"),
+        ("cd-c2dc2-bound", {(0,): 1, (1,): -1, (2,): 1, (): -21},
+         "nonnegativity of the cd-index coefficient <c^2dc^2 - 19c^6>"),
+        ("edge-vertex-bound-dual", {(4,): 1, (5,): -3},
+         "dual form: every facet has at least 6 ridges"),
+        ("cd-c2dc2-bound-dual", {(5,): 1, (4,): -1, (3,): 1, (): -21},
+         "index reversal of cd-c2dc2-bound")],
+    7: [("edge-vertex-bound", {(1,): 2, (0,): -7},
+         "every vertex of a 7-polytope meets at least 7 edges"),
+        ("cd-c2dc3-bound", {(0,): 1, (1,): -1, (2,): 1, (): -36},
+         "nonnegativity of the cd-index coefficient <c^2dc^3 - 34c^7>"),
+        ("edge-vertex-bound-dual", {(5,): 2, (6,): -7},
+         "dual form: every facet has at least 7 ridges"),
+        ("cd-c2dc3-bound-dual", {(6,): 1, (5,): -1, (4,): 1, (): -36},
+         "index reversal of cd-c2dc3-bound")],
+}
+
+
+@pytest.mark.parametrize("d", sorted(TYPED_BATTERIES))
+def test_battery_equals_the_typed_oracle(d):
+    members = list(battery(d))
+    assert sorted((m.name, m.form.coeffs, m.source) for m in members) \
+        == sorted((name, FlagForm(d, coeffs).coeffs, source)
+                  for name, coeffs, source in TYPED_BATTERIES[d])
+    # each bound, then each bound's index reversal
+    names = [m.name for m in members]
+    assert names[2:] == [name + "-dual" for name in names[:2]]
 
 
 def test_battery_unsupported_dimension():
-    with pytest.raises(UnsupportedDimension):
-        battery(4)
+    for d in (4, 8):
+        with pytest.raises(UnsupportedDimension, match=f"^no inequality battery for d={d}$"):
+            battery(d)
 
 
 def test_prop3_combination_reduces_to_constant_21():
     bat = {m.name: m.form for m in battery(6)}
     combined = 3 * bat["cd-c2dc2-bound"] + bat["edge-vertex-bound"]
-    assert combined.reduced() == flag_form(6, {(2,): 3, (1,): -2, (): -63})
+    assert combined.reduced() == FlagForm(6, {(2,): 3, (1,): -2, (): -63})
 
 
 def test_check_candidate_6d_family():
@@ -220,7 +260,7 @@ def test_check_candidate_on_lattice_data():
 
 
 def test_form_json_round_trip():
-    m = flag_form(6, {(0, 2): Fraction(-3, 2), (): 7})
+    m = FlagForm(6, {(0, 2): Fraction(-3, 2), (): 7})
     again = FlagForm.from_json(m.to_json())
     assert again == m
 

@@ -280,6 +280,9 @@ def test_cyclic_builds_past_the_old_subset_count(d, n):
 def test_cyclic_needs_enough_vertices():
     with pytest.raises(InvalidParams):
         build_cyclic(5, 5)
+    with pytest.raises(InvalidParams,
+                       match=re.escape("cyclic polytope needs n >= d+1, got n=3, d=3")):
+        build_cyclic(3, 3)
     with pytest.raises(InvalidParams):
         build_cyclic(1, 5)
 
