@@ -3,12 +3,12 @@ and g-vectors; all of them are read from a flag vector.
 
 The ab-index collects the flag quantities k_S = sum_{T subset S} (-1)^{|S\\T|} f_T
 as coefficients of words in the noncommuting letters a, b (letter b at the
-positions in S): one Moebius pass per position over every index set turns f
-into k.  For Eulerian flag data the polynomial rewrites uniquely in
-c = a + b and d = ab + ba.  The rewrite peels off the first letter: writing
-P = c*A + d*B, the parts after a leading a and b are A + b*B and A + a*B, so
-their difference fixes B, and A follows.  Every ab-word equation is checked
-on the way, so inconsistency is detected rather than assumed away.
+positions in S), listed by word mask (b = 1, the first letter the top bit):
+one Moebius pass per bit turns f into k.  For Eulerian flag data the
+polynomial rewrites uniquely in c = a + b and d = ab + ba.  The rewrite peels
+off the first letter: writing P = c*A + d*B, the list's halves (after a
+leading a, b) are A + b*B and A + a*B; their difference fixes B, then A.
+Every ab-word equation is checked, so inconsistency is detected.
 
 The rewrite is linear, so each cd-coefficient is a linear form on the flag
 vector as well.  Its coefficient at a sparse set B is the numeric
@@ -21,6 +21,7 @@ per rank set S, computed once per dimension.
 """
 
 import itertools
+import operator
 import re
 from functools import lru_cache
 
@@ -73,7 +74,7 @@ class AbPolynomial:
         self.degree = degree
         clean = {}
         for word, coeff in terms.items():
-            if len(word) != degree or any(ch not in "ab" for ch in word):
+            if type(word) is not str or len(word) != degree or word.strip("ab"):
                 raise InvalidParams(f"bad ab-word {word!r} for degree {degree}")
             if coeff != 0:
                 clean[word] = coeff
@@ -223,64 +224,58 @@ def _parse_terms(text: str):
 # ab-index and the cd rewrite
 
 
-def _sub(p: dict, q: dict) -> dict:
-    """p - q on word -> coefficient dicts, dropping the zero coefficients."""
-    out = dict(p)
-    for w, c in q.items():
-        out[w] = out[w] - c if w in out else -c
-    return {w: c for w, c in out.items() if c != 0}
+@lru_cache(maxsize=None)
+def _ab_words(d: int) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
+    """Per word mask m, the index set and the ab-word of m; the mask reads
+    the word as binary with b = 1, its first letter the top bit."""
+    sets = sorted(index_sets(d), key=lambda S: sum(1 << (d - 1 - i) for i in S))
+    return tuple(sets), tuple(word_for_set(S, d) for S in sets)
 
 
-def _ab_terms(f, d: int) -> dict:
-    """ab-word -> k_S = sum over T inside S of (-1)^{|S|-|T|} f(T), the word
-    having letter b exactly at the positions of S.
-
-    For each position i, every S holding i subtracts the value at S - {i},
-    which that pass leaves alone: d passes, O(d 2^d) + and - in all.
-    """
-    k = {S: f(S) for S in index_sets(d)}
-    for i in range(d):
-        for S in index_sets(d):
-            if i in S:
-                k[S] = k[S] - k[tuple(x for x in S if x != i)]
-    return {word_for_set(S, d): value for S, value in k.items()}
+def _ab_terms(k: list) -> list:
+    """k turned in place from f into k_S = sum over T inside S of
+    (-1)^{|S|-|T|} f_T, both by word mask: per bit, each mask holding it
+    subtracts the one without it, a C-level slice per block of masks."""
+    bit = 1
+    while bit < len(k):
+        for m in range(bit, len(k), 2 * bit):
+            k[m:m + bit] = map(operator.sub, k[m:m + bit], k[m - bit:m])
+        bit *= 2
+    return k
 
 
 def ab_index(v: FlagVector) -> AbPolynomial:
     """Flag k-polynomial of a complete flag vector."""
     if not v.complete:
         raise MissingEntry("the ab-index needs all flag entries")
-    terms = _ab_terms(v.get, v.d)
-    return AbPolynomial(v.d, {w: normalize(k) for w, k in terms.items()})
+    sets, words = _ab_words(v.d)
+    k = _ab_terms(list(map(v.entries.__getitem__, sets)))
+    return AbPolynomial(v.d, dict(zip(words, map(normalize, k))))
 
 
-def _after(terms: dict, letter: str) -> dict:
-    """The words that start with the letter, with that letter removed."""
-    return {w[1:]: c for w, c in terms.items() if w[:1] == letter}
-
-
-def _peel(terms: dict, degree: int) -> dict:
-    """cd-coefficients of an ab-polynomial given as a word -> coefficient dict."""
-    if not terms or degree == 0:
-        return dict(terms)
-    # P = c*A + d*B gives P_a = A + b*B and P_b = A + a*B after the first letter
-    p_a = _after(terms, "a")
-    diff = _sub(p_a, _after(terms, "b"))
-    B = _after(diff, "b")
-    # the rest of P_a - P_b must be -a*B; at degree 1 nothing may be left
-    rest = {w: c for w, c in diff.items() if w[:1] != "b"}
-    if _sub(rest, {"a" + w: -c for w, c in B.items()}):
+def _peel(k: list) -> dict:
+    """cd-word -> coefficient of the ab-polynomial whose coefficients by
+    word mask are k."""
+    h = len(k) // 2
+    if h <= 1:  # degree 0, or degree 1, where P = c*A needs P_a = P_b
+        if k[:h] != k[h:2 * h]:
+            raise NotEulerian("flag data violates the Eulerian relations")
+        return {"c" * h: k[0]} if k else {}
+    # P = c*A + d*B gives P_a = A + b*B and P_b = A + a*B, the two halves
+    # of k; so B = (P_a - P_b) after b, which after a must be -B
+    q = h // 2
+    B = list(map(operator.sub, k[q:h], k[h + q:]))
+    if B != list(map(operator.sub, k[h:h + q], k[:q])):
         raise NotEulerian("flag data violates the Eulerian relations")
-    A = _sub(p_a, {"b" + w: c for w, c in B.items()})
-    out = {"c" + u: c for u, c in _peel(A, degree - 1).items()}
-    out.update(("d" + u, c) for u, c in _peel(B, degree - 2).items())
+    out = {"c" + u: c for u, c in _peel(k[:q] + k[h + q:]).items()}
+    out.update(("d" + u, c) for u, c in _peel(B).items())
     return out
 
 
 def ab_to_cd(p: AbPolynomial) -> CdPolynomial:
     """Rewrite an ab-polynomial in c = a+b, d = ab+ba by first-letter peeling;
     raises NotEulerian when some ab-word equation fails."""
-    terms = _peel(p.terms, p.degree)
+    terms = _peel(list(map(p.terms.get, _ab_words(p.degree)[1], itertools.repeat(0))))
     return CdPolynomial(p.degree, {u: normalize(c) for u, c in terms.items()})
 
 
@@ -309,10 +304,10 @@ def _symbolic_cd_index(d: int) -> dict[str, FlagForm]:
     """cd-word -> its flag form over the sparse basis.  The coefficient at f_B
     is the cd-coefficient of column B, the flag data whose entry at S is f_B's
     coefficient in f_S reduced; it satisfies every relation, so it peels."""
-    reduced = {S: reduce_index(S, d) for S in index_sets(d)}
+    reduced = [reduce_index(S, d) for S in _ab_words(d)[0]]
     coeffs: dict[str, dict] = {u: {} for u in cd_words(d)}
     for B in sparse_basis(d):
-        for u, c in _peel(_ab_terms(lambda S: reduced[S].get(B, 0), d), d).items():
+        for u, c in _peel(_ab_terms([r.get(B, 0) for r in reduced])).items():
             coeffs[u][B] = c
     return {u: FlagForm(d, form) for u, form in coeffs.items()}
 
@@ -398,12 +393,8 @@ def toric_h(source) -> tuple[int, ...]:
     as the sum of f_S times the weight of S; palindromic on Eulerian
     lattices."""
     v = _as_flag_vector(source)
-    h = [0] * (v.d + 1)
-    for S, weight in _toric_weights(v.d):
-        f = v.get(S)
-        for i, w in enumerate(weight):
-            h[i] += f * w
-    return tuple(normalize(x) for x in h)
+    terms = [[v.get(S) * w for w in weight] for S, weight in _toric_weights(v.d)]
+    return tuple(normalize(sum(column)) for column in zip(*terms))
 
 
 def toric_g(source) -> ToricGVector:

@@ -79,14 +79,23 @@ def _face_count(i: int, value) -> int:
 
 
 @lru_cache(maxsize=None)
+def _canonical(d: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Every index set inside {0,...,d-1}, by size and then lexicographically,
+    each mapped to itself: the one tuple that every table of d holds."""
+    return {S: S for k in range(d + 1) for S in itertools.combinations(range(d), k)}
+
+
+@lru_cache(maxsize=None)
 def index_sets(d: int) -> tuple[tuple[int, ...], ...]:
     """Every index set inside {0,...,d-1}, by size and then lexicographically."""
-    return tuple(itertools.chain.from_iterable(
-        itertools.combinations(range(d), k) for k in range(d + 1)))
+    return tuple(_canonical(d))
 
 
 def index_set(S, d: int) -> tuple[int, ...]:
-    """S as a sorted tuple, refused unless it lies inside {0,...,d-1}."""
+    """S as a sorted tuple, refused unless it is of ints inside {0,...,d-1}."""
+    S = tuple(S)
+    if not all(type(x) is int for x in S):  # a bool or 1.0 too
+        raise InvalidParams(f"index set {S} has an element that is not an int")
     S = tuple(sorted(set(S)))
     if S and not (0 <= S[0] and S[-1] < d):
         raise InvalidParams(f"index set {S} outside 0..{d - 1}")
@@ -144,7 +153,8 @@ class FlagVector:
     """Mapping from index sets S in {0,...,d-1} to the chain counts f_S.
 
     f_empty is pinned to 1.  ``complete`` marks that all 2^d entries are
-    present, which is what the Dehn-Sommerville residuals require.
+    present, which is what the Dehn-Sommerville residuals require.  Computed
+    data pass in one step: int values and, given all 2^d, cached set keys.
     """
 
     __slots__ = ("d", "entries")
@@ -153,10 +163,12 @@ class FlagVector:
         if d < 0:
             raise InvalidParams(f"dimension must be >= 0, got {d}")
         self.d = d
+        canonical = _canonical(d) if len(entries) >> d else {}
         norm: dict[tuple[int, ...], object] = {}
         for S, value in entries.items():
-            S = index_set(S, d)
-            norm[S] = normalize(rat_exact(value, S))
+            if canonical.get(S) is not S:  # identity: (1.0,) equals (1,)
+                S = index_set(S, d)
+            norm[S] = value if type(value) is int else normalize(rat_exact(value, S))
         if norm.setdefault((), 1) != 1:
             raise InvalidParams("f_empty must equal 1")
         self.entries = norm
@@ -166,7 +178,10 @@ class FlagVector:
         return len(self.entries) == 1 << self.d
 
     def get(self, S):
-        S = tuple(sorted(set(S)))
+        try:
+            return self.entries[S]  # a key equal to a stored sorted tuple
+        except (KeyError, TypeError):
+            S = tuple(sorted(set(S)))
         try:
             return self.entries[S]
         except KeyError:
@@ -256,15 +271,18 @@ def gds_relation(S, gap: tuple[int, int], d: int) -> dict[tuple[int, ...], int]:
     return combo
 
 
+@lru_cache(maxsize=None)
+def _relations(d: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+    """Every relation of ``gds_pairs(d)``, as (set, coefficient) pairs."""
+    return tuple(tuple(gds_relation(S, gap, d).items()) for S, gap in gds_pairs(d))
+
+
 def gds_residuals(v: FlagVector) -> list:
     """One residual per (S, gap) pair; all zero iff v satisfies the relations."""
     if not v.complete:
         raise MissingEntry("residuals need a complete flag vector")
-    out = []
-    for S, gap in gds_pairs(v.d):
-        combo = gds_relation(S, gap, v.d)
-        out.append(normalize(sum(c * v.get(T) for T, c in combo.items())))
-    return out
+    f = v.entries
+    return [normalize(sum(c * f[T] for T, c in rel)) for rel in _relations(v.d)]
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +321,6 @@ def reduce_index(S, d: int) -> dict[tuple[int, ...], int]:
 
 def complete_from_sparse(values: dict, d: int) -> FlagVector:
     """Fill in all 2^d flag entries from values on the sparse basis."""
-    basis = sparse_basis(d)
     norm: dict[tuple[int, ...], object] = {}
     for S, value in values.items():
         S = index_set(S, d)
@@ -312,7 +329,7 @@ def complete_from_sparse(values: dict, d: int) -> FlagVector:
         norm[S] = normalize(rat_exact(value, S))
     if norm.setdefault((), 1) != 1:
         raise InvalidParams("f_empty must equal 1")
-    missing = [S for S in basis if S not in norm]
+    missing = [S for S in sparse_basis(d) if S not in norm]
     if missing:
         raise IncompleteBasis(
             f"missing sparse values for {[subset_key(S) for S in missing]}")

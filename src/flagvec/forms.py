@@ -300,18 +300,20 @@ def feasible_sample_boxes() -> dict[tuple[int, ...], tuple[int, int]]:
 
 def sample_feasible_5d(rng, count: int) -> list[FlagVector]:
     """Rejection-sample, in at most 20000 draws, complete 5-dimensional flag
-    vectors with positive face counts that pass the whole battery."""
+    vectors with positive face counts that pass the whole battery.  A draw
+    is screened before it is completed: each f_i - 1 (f_i is an int) and each
+    battery form, reduced once per call, must be >= 0 on the sparse values."""
     boxes = feasible_sample_boxes()
-    bat = battery(5)
+    screens = [FlagForm(5, {(i,): 1, (): -1}) for i in range(5)]
+    screens += [m.form for m in battery(5)]
+    screens = [[(S, normalize(c)) for S, c in form.reduced().coeffs.items()]
+               for form in screens]
     out: list[FlagVector] = []
     for _ in range(20000):
         if len(out) >= count:
             break
         values = {S: rng.randint(a, b) for S, (a, b) in boxes.items()}
-        v = complete_from_sparse(values, 5)
-        if any(v.get((i,)) <= 0 for i in range(5)):
-            continue
-        if any(val < 0 for val in bat.evaluate_all(v).values()):
-            continue
-        out.append(v)
+        point = {(): 1} | values
+        if all(sum(c * point[S] for S, c in form) >= 0 for form in screens):
+            out.append(complete_from_sparse(values, 5))
     return out

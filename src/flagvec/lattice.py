@@ -38,6 +38,7 @@ import operator
 import os
 import sys
 from collections import Counter
+from functools import lru_cache
 
 from .errors import DeskScaleExceeded, FaceNotInLattice, InvalidParams
 from .families import cyclic_f
@@ -232,9 +233,12 @@ class FaceLattice:
             for j, f in enumerate(self._ranks[b + 1]):
                 for v in f:
                     holding.setdefault(v, []).append(j)
-            windows = self._windows[b + 1] = {
-                v: (js[0], sum(1 << (j - js[0]) for j in js))
-                for v, js in holding.items()}
+            windows = self._windows[b + 1] = {}
+            for v, js in holding.items():  # bit j - js[0] is digit js[-1] - j
+                digits = bytearray(b"0") * (js[-1] - js[0] + 1)
+                for j in js:
+                    digits[js[-1] - j] = 49  # "1"
+                windows[v] = js[0], int(digits, 2)
         return windows
 
     def _above(self, a: int, b: int, faces=None):
@@ -324,10 +328,8 @@ class FaceLattice:
                 radix *= faces + 1
             radices.append([r for r, _ in below[len(below) - len(groups):]])
         field = (1 << width) - 1
-        entries = {(): 1}
-        for S in sorted(index_sets(d)[1:]):
-            entries[S] = total >> (width * sum(1 << s for s in S)) & field
-        self._flags = FlagVector(d, entries)
+        entries = {S: total >> (width * offset) & field for S, offset in _fields(d)}
+        self._flags = FlagVector(d, {(): 1} | entries)
         return self._flags
 
     def _push(self, a: int, b: int, counts: list[int], group_of, into: list[int]):
@@ -526,6 +528,12 @@ class FaceLattice:
                 f'face {k} must be {{"rank": integer, "vertices": [integer >= 0,'
                 f' ...]}}, got {json.dumps(face)}')
         return cls(d, out)
+
+
+@lru_cache(maxsize=None)
+def _fields(d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(S, the field of f_S in ``flag_vector``'s total) for S nonempty."""
+    return tuple((S, sum(1 << s for s in S)) for S in sorted(index_sets(d)[1:]))
 
 
 def _natural_labels(faces) -> bool:

@@ -32,11 +32,13 @@ from flagvec import (
     toric_h,
 )
 from flagvec.cdindex import (
+    AbPolynomial,
     _pretty_runs,
     cd_degree,
     word_for_set,
 )
 from flagvec.forms import FlagForm
+from flagvec.rational import normalize
 
 
 def _expand_cd(word: str) -> dict[str, int]:
@@ -164,6 +166,79 @@ def test_any_single_entry_change_is_not_eulerian():
             entries[S] += 1
             with pytest.raises(NotEulerian):
                 cd_index(FlagVector(L.d, entries))
+
+
+def _sub(p: dict, q: dict) -> dict:
+    """p - q on word -> coefficient dicts, dropping the zero coefficients."""
+    out = dict(p)
+    for w, c in q.items():
+        out[w] = out[w] - c if w in out else -c
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def _after(terms: dict, letter: str) -> dict:
+    """The words that start with the letter, with that letter removed."""
+    return {w[1:]: c for w, c in terms.items() if w[:1] == letter}
+
+
+def _dict_peel(terms: dict, degree: int) -> dict:
+    """Test oracle: the first-letter peel on word -> coefficient dicts."""
+    if not terms or degree == 0:
+        return dict(terms)
+    p_a = _after(terms, "a")
+    diff = _sub(p_a, _after(terms, "b"))
+    B = _after(diff, "b")
+    rest = {w: c for w, c in diff.items() if w[:1] != "b"}
+    if _sub(rest, {"a" + w: -c for w, c in B.items()}):
+        raise NotEulerian("flag data violates the Eulerian relations")
+    A = _sub(p_a, {"b" + w: c for w, c in B.items()})
+    out = {"c" + u: c for u, c in _dict_peel(A, degree - 1).items()}
+    out.update(("d" + u, c) for u, c in _dict_peel(B, degree - 2).items())
+    return out
+
+
+def _cd_by_dict_peel(v: FlagVector) -> CdPolynomial:
+    p = ab_index(v)
+    return CdPolynomial(v.d, {u: normalize(c)
+                              for u, c in _dict_peel(p.terms, v.d).items()})
+
+
+def test_the_list_peel_equals_the_dict_peel_on_the_corpus_and_its_duals():
+    from flagvec.verify import corpus
+
+    for name, L in corpus():
+        for M in (L, L.dual()):
+            v = M.flag_vector()
+            assert cd_index(v) == _cd_by_dict_peel(v), name
+
+
+def test_both_peels_refuse_each_raised_entry_of_the_4_simplex():
+    v = build_simplex(4).flag_vector()
+    for S in v.entries:
+        if S:
+            raised = FlagVector(4, {**v.entries, S: v.entries[S] + 1})
+            with pytest.raises(NotEulerian):
+                cd_index(raised)
+            with pytest.raises(NotEulerian):
+                _cd_by_dict_peel(raised)
+    # one raised ab-word: a cd-polynomial is unchanged by swapping a and b,
+    # and a single word is not; a raised f_S raises the word b^4 among others
+    p = ab_index(v)
+    for word in p.terms:
+        raised = {**p.terms, word: p.terms[word] + 1}
+        with pytest.raises(NotEulerian):
+            ab_to_cd(AbPolynomial(4, raised))
+        with pytest.raises(NotEulerian):
+            _dict_peel(raised, 4)
+
+
+def test_an_ab_word_must_be_a_string():
+    assert ab_to_cd(AbPolynomial(1, {"a": 1, "b": 1})).terms == {"c": 1}
+    for word in (("a",), ("b",), 1):
+        with pytest.raises(InvalidParams, match="bad ab-word"):
+            AbPolynomial(1, {word: 1})
+    with pytest.raises(InvalidParams, match=r"bad ab-word \('a',\) for degree 1"):
+        AbPolynomial(1, {("a",): 1, ("b",): 1})
 
 
 def test_ab_index_needs_complete_data():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -98,6 +99,31 @@ def test_gds_residuals_detect_perturbation():
     entries = dict(v.entries)
     entries[(1,)] = 7
     assert any(r != 0 for r in gds_residuals(FlagVector(3, entries)))
+
+
+def _residuals_by_relation(v: FlagVector) -> list:
+    """Test oracle: each residual summed over ``gds_relation`` of its pair."""
+    return [sum(c * v.get(T) for T, c in gds_relation(S, gap, v.d).items())
+            for S, gap in gds_pairs(v.d)]
+
+
+def test_gds_residuals_equal_the_sum_over_each_relation():
+    from flagvec.verify import corpus
+
+    for name, L in corpus():
+        assert gds_residuals(L.flag_vector()) == _residuals_by_relation(
+            L.flag_vector()), name
+    # data that breaks the relations, so the residuals are mostly nonzero
+    rng = random.Random(25)
+    for d in range(0, 9):
+        for _ in range(3):
+            v = FlagVector(d, {S: rng.choice([rng.randint(-99, 99),
+                                              Fraction(rng.randint(-99, 99), 7)])
+                               for S in index_sets(d)[1:]})
+            assert v.complete
+            res = gds_residuals(v)
+            assert res == _residuals_by_relation(v), d
+            assert d == 0 or any(res), d
 
 
 def test_gds_residuals_need_complete_vector():
@@ -290,3 +316,29 @@ def test_python_ints_and_fractions_are_accepted():
     assert FlagForm(3, {(0,): 2, (1,): Fraction(1, 2)}).coeffs == {
         (0,): 2, (1,): Fraction(1, 2)}
     assert complete_from_sparse({(0,): Fraction(3)}, 2).get((1,)) == 3
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FlagVector(3, {(1.0,): 5, (True, 2): 7}),
+    lambda: FlagVector(3, {(True, 2): 7}),
+    lambda: FlagForm(3, {(0.0,): 1}),
+    lambda: complete_from_sparse({(Fraction(0),): 4}, 2),
+    lambda: reduce_index((1, 2.0), 4),
+], ids=["FlagVector-float", "FlagVector-bool", "FlagForm", "complete_from_sparse",
+        "reduce_index"])
+def test_index_sets_refuse_an_element_that_is_not_an_int(make):
+    with pytest.raises(InvalidParams, match="index set .* not an int"):
+        make()
+
+
+def test_a_complete_vector_takes_no_float_key_for_an_int_one():
+    # (1.0,) hashes and compares equal to (1,), so a complete vector, whose
+    # keys are looked up in the per-dimension table, must test identity
+    entries = dict(build_simplex(3).flag_vector().entries)
+    entries[(1.0,)] = entries.pop((1,))
+    assert len(entries) == 8
+    with pytest.raises(InvalidParams, match=r"index set \(1.0,\)"):
+        FlagVector(3, entries)
+    # the same keys as new tuples, and a set, are canonicalised as before
+    again = FlagVector(3, {tuple(reversed(S)): 1 for S in index_sets(3)})
+    assert again.complete and again.get({2, 0}) == again.get((0, 2)) == 1

@@ -277,3 +277,37 @@ def test_feasible_sampling_is_deterministic_and_unimodal():
         f = v.f_vector()
         assert properties(f).unimodal
         assert all(c > 0 for c in f)
+
+
+def _sample_by_completing_first(rng, count):
+    """Test oracle: complete every draw, then screen its face counts and the
+    battery on the complete vector."""
+    boxes = forms.feasible_sample_boxes()
+    bat = battery(5)
+    out = []
+    for _ in range(20000):
+        if len(out) >= count:
+            break
+        values = {S: rng.randint(a, b) for S, (a, b) in boxes.items()}
+        v = complete_from_sparse(values, 5)
+        if any(v.get((i,)) <= 0 for i in range(5)):
+            continue
+        if any(val < 0 for val in bat.evaluate_all(v).values()):
+            continue
+        out.append(v)
+    return out
+
+
+def test_feasible_sampling_completes_only_the_draws_it_keeps(monkeypatch):
+    completed = []
+
+    def counted(values, d):
+        completed.append(d)
+        return complete_from_sparse(values, d)
+
+    monkeypatch.setattr(forms, "complete_from_sparse", counted)
+    for seed in range(40):
+        completed.clear()
+        samples = sample_feasible_5d(random.Random(seed), 20)
+        assert len(completed) == len(samples) == 20, seed
+        assert samples == _sample_by_completing_first(random.Random(seed), 20), seed
