@@ -56,7 +56,6 @@ from .forms import (
 from .cdindex import (
     AbPolynomial,
     CdPolynomial,
-    ToricGVector,
     ab_index,
     ab_to_cd,
     cd_coefficient,

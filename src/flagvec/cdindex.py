@@ -101,16 +101,13 @@ class CdPolynomial:
         self.degree = degree
         clean = {}
         for word, coeff in terms.items():
-            if cd_degree(word) != degree:
-                raise DegreeMismatch(f"{word!r} has degree {cd_degree(word)}, not {degree}")
+            _check_degree(word, cd_degree(word), degree)
             if coeff != 0:
                 clean[word] = coeff
         self.terms = clean
 
     def coefficient(self, word: str):
-        if cd_degree(word) != self.degree:
-            raise DegreeMismatch(
-                f"{word!r} has degree {cd_degree(word)}, not {self.degree}")
+        _check_degree(word, cd_degree(word), self.degree)
         return self.terms.get(word, 0)
 
     def ordered_terms(self):
@@ -183,6 +180,17 @@ def _runs_degree(runs: list[tuple[str, int]]) -> int:
     return sum(count * _DEGREE[letter] for letter, count in runs)
 
 
+def _check_degree(text: str, degree: int, d: int) -> None:
+    """Raise DegreeMismatch naming the cd-word ``text`` unless its degree
+    is d."""
+    if degree != d:
+        try:
+            message = f"{shown(text)} has degree {degree}, need {d}"
+        except ValueError:  # a degree of more digits than str() may write
+            message = f"{shown(text)} has a degree far above the {d} needed"
+        raise DegreeMismatch(message)
+
+
 def read_cd_word(text: str, d: int) -> str:
     """The cd-word ``text``, written as ``_pretty_runs`` reads it, spelled
     out once its degree, read from the exponents, is known to be d."""
@@ -190,12 +198,7 @@ def read_cd_word(text: str, d: int) -> str:
     degree = _runs_degree(runs)
     if not degree:
         raise InvalidParams(f"empty cd-word {text!r}")
-    if degree != d:
-        try:
-            message = f"{shown(text)} has degree {degree}, need {d}"
-        except ValueError:  # a degree of more digits than str() may write
-            message = f"{shown(text)} has a degree far above the {d} needed"
-        raise DegreeMismatch(message)
+    _check_degree(text, degree, d)
     return "".join(letter * count for letter, count in runs)
 
 
@@ -292,11 +295,7 @@ def cd_index(source) -> CdPolynomial:
 
 def cd_coefficient(source, word: str):
     """Coefficient of one cd-monomial in the cd-index."""
-    v = _as_flag_vector(source)
-    if cd_degree(word) != v.d:
-        raise DegreeMismatch(
-            f"{word!r} has degree {cd_degree(word)}, need {v.d}")
-    return cd_index(v).coefficient(word)
+    return cd_index(source).coefficient(word)
 
 
 @lru_cache(maxsize=None)
@@ -315,8 +314,7 @@ def _symbolic_cd_index(d: int) -> dict[str, FlagForm]:
 def cd_word_to_flag_form(word: str, d: int) -> FlagForm:
     """The flag form whose value on every Eulerian flag vector equals the
     cd-coefficient of the word; returned reduced to the sparse basis."""
-    if cd_degree(word) != d:
-        raise DegreeMismatch(f"{word!r} has degree {cd_degree(word)}, need {d}")
+    _check_degree(word, cd_degree(word), d)
     return _symbolic_cd_index(d)[word]
 
 
@@ -327,33 +325,6 @@ def stanley_nonneg_check(lattice) -> bool:
 
 # ----------------------------------------------------------------------
 # toric h and g
-
-
-class ToricGVector:
-    """Entries g_0, ..., g_{floor(d/2)} of the toric g-vector."""
-
-    __slots__ = ("d", "entries")
-
-    def __init__(self, d: int, entries):
-        self.d = d
-        self.entries = tuple(normalize(e) for e in entries)
-        if len(self.entries) != d // 2 + 1:
-            raise InvalidParams(
-                f"expected {d // 2 + 1} entries for d={d}, got {len(self.entries)}")
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __eq__(self, other):
-        if isinstance(other, ToricGVector):
-            return (self.d, self.entries) == (other.d, other.entries)
-        return self.entries == tuple(other)
-
-    def __repr__(self):
-        return f"ToricGVector(d={self.d}, {self.entries})"
 
 
 def _h_vector(g, m: int, r: int) -> tuple[int, ...]:
@@ -393,13 +364,15 @@ def toric_h(source) -> tuple[int, ...]:
     as the sum of f_S times the weight of S; palindromic on Eulerian
     lattices."""
     v = _as_flag_vector(source)
-    terms = [[v.get(S) * w for w in weight] for S, weight in _toric_weights(v.d)]
+    terms = []
+    for S, weight in _toric_weights(v.d):
+        f_S = v.get(S)  # once per set, not once per weight entry
+        terms.append([f_S * w for w in weight])
     return tuple(normalize(sum(column)) for column in zip(*terms))
 
 
-def toric_g(source) -> ToricGVector:
-    """Toric g-vector of a lattice or complete flag vector: g_i = h_i -
-    h_(i-1) for i <= d / 2."""
+def toric_g(source) -> tuple[int, ...]:
+    """Toric g-vector (g_0, ..., g_(d // 2)) of a lattice or complete flag
+    vector: g_i = h_i - h_(i-1)."""
     h = toric_h(source)
-    return ToricGVector(source.d, [
-        p - q for p, q in zip(h[:source.d // 2 + 1], (0, *h))])
+    return tuple(normalize(p - q) for p, q in zip(h[:source.d // 2 + 1], (0, *h)))

@@ -37,8 +37,7 @@ def connected_sum_f(fP, fQ) -> FVector:
     Only the dimensions are validated; whether the pair is actually gluable
     (simplicial with simple) is the caller's concern.
     """
-    fP = fP if isinstance(fP, FVector) else FVector(fP)
-    fQ = fQ if isinstance(fQ, FVector) else FVector(fQ)
+    fP, fQ = FVector(fP), FVector(fQ)
     if fP.d != fQ.d:
         raise DimensionMismatch(f"cannot glue dimensions {fP.d} and {fQ.d}")
     d = fP.d
@@ -49,11 +48,12 @@ def connected_sum_f(fP, fQ) -> FVector:
         for i, (p, q) in enumerate(zip(fP, fQ))))
 
 
-def cyclic_sum_f(d: int, n: int) -> FVector:
+def cyclic_sum_f(d: int, n: int, m: int | None = None) -> FVector:
     """f-vector of the connected sum of the cyclic d-polytope on n vertices
-    with its dual, which is palindromic."""
+    with the dual of the one on m vertices; m defaults to n, which gives a
+    palindromic vector."""
     f = cyclic_f(d, n)
-    return connected_sum_f(f, f.reversed())
+    return connected_sum_f(f, (f if m is None else cyclic_f(d, m)).reversed())
 
 
 def simplicial_flag_number(f, S) -> int:
@@ -103,7 +103,7 @@ def _unimodal(f: FVector) -> tuple[bool, int | None]:
 
 def properties(f) -> PropertyReport:
     """Check the four properties on a positive integer vector."""
-    f = f if isinstance(f, FVector) else FVector(f)
+    f = FVector(f)
     if f.d < 1 or any(c <= 0 for c in f):
         raise InvalidParams("need a nonempty vector of positive integers")
     comps = f.components

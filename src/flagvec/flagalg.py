@@ -178,10 +178,13 @@ class FlagVector:
         return len(self.entries) == 1 << self.d
 
     def get(self, S):
-        try:
-            return self.entries[S]  # a key equal to a stored sorted tuple
-        except (KeyError, TypeError):
-            S = tuple(sorted(set(S)))
+        """f_S, with S read as ``index_set`` reads it; a tuple of ints that
+        is a stored key takes one lookup."""
+        if type(S) is tuple and all(type(x) is int for x in S):
+            value = self.entries.get(S)
+            if value is not None:
+                return value
+        S = index_set(S, self.d)
         try:
             return self.entries[S]
         except KeyError:
@@ -339,6 +342,6 @@ def complete_from_sparse(values: dict, d: int) -> FlagVector:
 
 def euler_check(f) -> bool:
     """Does the alternating sum of face counts equal 1 - (-1)^d?"""
-    f = f if isinstance(f, FVector) else FVector(f)
+    f = FVector(f)
     return sum(-fi if i % 2 else fi for i, fi in enumerate(f)) == (2 if f.d % 2 else 0)
 

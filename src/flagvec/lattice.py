@@ -42,7 +42,7 @@ from functools import lru_cache
 
 from .errors import DeskScaleExceeded, FaceNotInLattice, InvalidParams
 from .families import cyclic_f
-from .flagalg import FlagVector, FVector, index_set, index_sets
+from .flagalg import FlagVector, FVector, index_sets
 from .rational import is_count, is_json_int, load_json
 
 MAX_DIMENSION = 8
@@ -282,7 +282,7 @@ class FaceLattice:
 
     def flag_number(self, S) -> int:
         """Number of chains of faces whose rank set is exactly S."""
-        return self.flag_vector().get(index_set(S, self.d))
+        return self.flag_vector().get(S)
 
     def flag_vector(self) -> FlagVector:
         """All 2^d flag numbers, in one pass over the ranks.

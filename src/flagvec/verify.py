@@ -111,6 +111,10 @@ def _is_simplicial(L) -> bool:
 
 # f-vector of cyclic(8,25) glued to its dual, the d = 8 witness of the table
 WITNESS_8 = (7149, 28800, 46800, 46400, 46400, 46800, 28800, 7149)
+# (d, n, m, f-vector) of cyclic(d,n) glued to the dual of cyclic(d,m): the
+# log-convexity witnesses at d = 6 and 7, both failing at k = 1
+WITNESSES_6_7 = ((6, 29, 11, (105, 637, 3929, 9242, 8755, 2910)),
+                 (7, 32, 12, (143, 888, 5536, 18870, 30516, 22998, 6563)))
 
 
 def run_verification(seed: int = 0) -> VerificationReport:
@@ -145,7 +149,7 @@ def run_verification(seed: int = 0) -> VerificationReport:
         got = summand.reduced()
         check(name, got == forms.FlagForm(5, expect),
               repr(forms.FlagForm(5, expect)), repr(got))
-    total = (s1 + s2 + s3).reduced()
+    total = forms.kalai_5d_form()
     check("kalai-form-reduction", total == forms.FlagForm(5, {(1,): -6, (2,): 9, (3,): -6}),
           "9f_2 - 6f_1 - 6f_3", repr(total))
     kalai_vals = [total.evaluate(lattices[f"cyclic-5-{n}"].flag_vector())
@@ -227,6 +231,13 @@ def run_verification(seed: int = 0) -> VerificationReport:
           f"f = {tuple(f8)}: log-convex witness {found8[0]},"
           f" unimodal witness {found8[1]}, barany={found8[2]}",
           "cyclic(8,25) glued to its dual")
+    for d, n, m, witness in WITNESSES_6_7:
+        f = families.cyclic_sum_f(d, n, m)
+        k = families.properties(f).witnesses.get("log_convex")
+        check(f"cyclic-sum-{d}-{n}-{m}", f == witness and k == 1,
+              f"f = {witness}: log-convexity fails at k=1",
+              f"f = {tuple(f)}: log-convex witness {k}",
+              f"cyclic({d},{n}) glued to the dual of cyclic({d},{m})")
 
     # ---- per-lattice oracle battery
     gds_bad, closed_bad, dual_bad, toric_bad, cd_bad = [], [], [], [], []
@@ -321,8 +332,9 @@ def run_verification(seed: int = 0) -> VerificationReport:
                 f"simplex: f_0+f_2-2f_1 = {families.neighborly_gap(8)} > 0"))
     t(TableCell("convex", ">=8", "fails", "simplex witness, same gap formula"))
     t(TableCell("log-convex", "<=4", "holds", "no violation on the corpus"))
-    t(TableCell("log-convex", "5..7", "open",
-                "no counterexample; the connected-sum ratios stay > 1"))
+    t(TableCell("log-convex", "5", "open", "no counterexample known"))
+    t(TableCell("log-convex", "6..7", "fails",
+                "checks cyclic-sum-6-29-11 and cyclic-sum-7-32-12: f_1^2 < f_0 f_2"))
     t(TableCell("log-convex", "8", "fails",
                 "check cyclic-sum-8-25: f_3^2 < f_2 f_4"))
     t(TableCell("log-convex", ">=9", "fails",

@@ -358,7 +358,7 @@ def test_verify_paper_json_passes(capsys):
     assert {"kalai-form-reduction", "candidate-7d-f6",
             "oracle-gds-residuals"} <= names
     assert all(c["passed"] for c in doc["checks"])
-    assert len(doc["table"]) == 17
+    assert len(doc["table"]) == 18
 
 
 @pytest.mark.parametrize("golden, argv", [
@@ -437,7 +437,7 @@ def test_the_public_names_change_only_by_a_reviewed_diff():
         "DimensionMismatch", "FVector", "FaceLattice", "FaceNotInLattice", "FlagForm",
         "FlagVecError", "FlagVector", "IncompleteBasis", "InequalityBattery",
         "InvalidParams", "MissingEntry", "NotEulerian", "PropertyReport",
-        "ToricGVector", "UnsupportedDimension", "VerificationReport", "ab_index",
+        "UnsupportedDimension", "VerificationReport", "ab_index",
         "ab_to_cd", "battery", "build_crosspolytope", "build_cube", "build_cyclic",
         "build_polygon", "build_simplex", "candidate_6d", "candidate_7d",
         "cd_coefficient", "cd_index", "cd_word_to_flag_form", "cd_words",

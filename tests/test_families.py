@@ -236,6 +236,24 @@ def test_connected_sums_of_cyclic_polytopes_by_dimension():
     assert rep.witnesses["log_convex"] == 3 and rep.witnesses["unimodal"] == 4
 
 
+def test_log_convexity_fails_on_a_window_of_asymmetric_sums():
+    # C(6, n) glued to the dual of C(6, 11) fails log-convexity, at k = 1,
+    # exactly for n = 29..126; both ends of the window are tested
+    for n, holds in ((28, True), (29, False), (126, False), (127, True)):
+        f = cyclic_sum_f(6, n, 11)
+        assert f == connected_sum_f(cyclic_f(6, n), cyclic_f(6, 11).reversed())
+        rep = properties(f)
+        assert rep.log_convex is holds, n
+        assert rep.witnesses.get("log_convex") == (None if holds else 1), n
+        assert (f[1] ** 2 >= f[0] * f[2]) is holds, n
+    assert cyclic_sum_f(6, 29, 11) == (105, 637, 3929, 9242, 8755, 2910)
+    f7 = cyclic_sum_f(7, 32, 12)
+    assert f7 == (143, 888, 5536, 18870, 30516, 22998, 6563)
+    assert properties(f7).witnesses["log_convex"] == 1
+    # m = n is the symmetric sum
+    assert cyclic_sum_f(7, 9, 9) == cyclic_sum_f(7, 9) == p7n(9)
+
+
 def test_candidate_data_values():
     assert candidate_6d(0)[(0, 2, 4)] == 6480
     assert candidate_6d(2)[(4,)] == 33

@@ -342,3 +342,22 @@ def test_a_complete_vector_takes_no_float_key_for_an_int_one():
     # the same keys as new tuples, and a set, are canonicalised as before
     again = FlagVector(3, {tuple(reversed(S)): 1 for S in index_sets(3)})
     assert again.complete and again.get({2, 0}) == again.get((0, 2)) == 1
+
+
+@pytest.mark.parametrize("key", [(1.0,), (True,), [2, 1.0], (3,), {0, 5}],
+                         ids=["float", "bool", "list-with-float", "above-d", "set-above-d"])
+def test_get_refuses_what_index_set_refuses(key):
+    # a float or bool element equals an int one, so it used to find f_1 or f_12
+    v = build_simplex(3).flag_vector()
+    with pytest.raises(InvalidParams, match="index set"):
+        v.get(key)
+
+
+def test_get_reads_any_spelling_of_an_index_set():
+    v = build_simplex(3).flag_vector()
+    assert v.get({2, 0}) == v.get([2, 0, 2]) == v.get((2, 0)) == v.get((0, 2)) == 12
+    assert v.get(()) == v.get(set()) == 1
+    sparse = FlagVector(3, {(0,): 4})
+    for key in ((1,), [2, 1], (0, 2)):
+        with pytest.raises(MissingEntry, match="is not present"):
+            sparse.get(key)
