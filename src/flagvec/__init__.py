@@ -42,7 +42,6 @@ from .lattice import (
 )
 from .forms import (
     FlagForm,
-    InequalityBattery,
     battery,
     check_candidate,
     convolve,

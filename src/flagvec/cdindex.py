@@ -28,7 +28,7 @@ from functools import lru_cache
 from .errors import DegreeMismatch, InvalidParams, MissingEntry, NotEulerian
 from .flagalg import FlagVector, index_sets, reduce_index, sparse_basis
 from .forms import FlagForm
-from .rational import count_from_str, normalize, rat_from_str, rat_to_str, shown
+from .rational import count_from_str, normalize, rat_to_str, shown
 
 
 _DEGREE = {"c": 1, "d": 2}  # the degree each letter of a cd-word counts
@@ -93,7 +93,7 @@ class AbPolynomial:
 
 
 class CdPolynomial:
-    """Homogeneous cd-polynomial; prints and parses in a canonical form."""
+    """Homogeneous cd-polynomial; prints in a canonical form."""
 
     __slots__ = ("degree", "terms")
 
@@ -125,26 +125,6 @@ class CdPolynomial:
         head = parts[0][2:] if parts[0].startswith("+ ") else "-" + parts[0][2:]
         return " ".join([head] + parts[1:])
 
-    @classmethod
-    def from_str(cls, text: str) -> "CdPolynomial":
-        """Each term's degree is read from its exponents, so a term of
-        another degree is refused before it is spelled out."""
-        terms: dict[str, object] = {}
-        degree = None
-        for sign, coeff_text, word_text in _parse_terms(text):
-            runs = _pretty_runs(word_text)
-            if degree is None:
-                degree = _runs_degree(runs)
-            elif _runs_degree(runs) != degree:
-                raise InvalidParams(f"mixed degrees in {text!r}")
-            word = "".join(letter * n for letter, n in runs)
-            coeff = rat_from_str(coeff_text) if coeff_text else 1
-            coeff = -coeff if sign == "-" else coeff
-            terms[word] = terms.get(word, 0) + coeff
-        if degree is None:
-            raise InvalidParams(f"cannot parse cd-polynomial {text!r}")
-        return cls(degree, terms)
-
     def __eq__(self, other):
         if not isinstance(other, CdPolynomial):
             return NotImplemented
@@ -175,11 +155,6 @@ def _pretty_runs(text: str) -> list[tuple[str, int]]:
             f"cd-word {shown(text)} has an exponent too long to read") from None
 
 
-def _runs_degree(runs: list[tuple[str, int]]) -> int:
-    """The degree of a cd-word given as its (letter, count) runs."""
-    return sum(count * _DEGREE[letter] for letter, count in runs)
-
-
 def _check_degree(text: str, degree: int, d: int) -> None:
     """Raise DegreeMismatch naming the cd-word ``text`` unless its degree
     is d."""
@@ -195,32 +170,11 @@ def read_cd_word(text: str, d: int) -> str:
     """The cd-word ``text``, written as ``_pretty_runs`` reads it, spelled
     out once its degree, read from the exponents, is known to be d."""
     runs = _pretty_runs(text)
-    degree = _runs_degree(runs)
+    degree = sum(count * _DEGREE[letter] for letter, count in runs)
     if not degree:
         raise InvalidParams(f"empty cd-word {text!r}")
     _check_degree(text, degree, d)
     return "".join(letter * count for letter, count in runs)
-
-
-def _parse_terms(text: str):
-    """(sign, coefficient text, word text) per term; as in ``_pretty_runs``,
-    the only whitespace read is the ASCII space."""
-    text = text.strip(" ")
-    if text == "0":
-        return
-    # normalize so each term starts with an explicit sign
-    text = "+ " + text if not text.startswith(("+", "-")) else text
-    for chunk in re.finditer(r"([+-]) *([^+-]+)", text):
-        sign, body = chunk.group(1), chunk.group(2).strip(" ")
-        m = re.fullmatch(r"([0-9]+(?:/[0-9]+)?)? *([cd^0-9 ]*)", body)
-        if not m:
-            raise InvalidParams(f"cannot parse term {body!r}")
-        coeff_text, word_text = m.group(1), (m.group(2) or "").strip(" ")
-        if not coeff_text and not word_text:
-            raise InvalidParams(f"cannot parse term {body!r}")
-        if word_text in ("1", ""):
-            word_text = ""
-        yield sign, coeff_text, word_text
 
 
 # ----------------------------------------------------------------------

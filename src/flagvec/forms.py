@@ -193,30 +193,13 @@ class BatteryMember(Record):
         self.source = source
 
 
-class InequalityBattery:
-    """Named forms asserted nonnegative on all polytopes of one dimension."""
-
-    def __init__(self, d: int, members: list[BatteryMember]):
-        self.d = d
-        self.members = list(members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-    def evaluate_all(self, v: FlagVector) -> dict[str, object]:
-        return {m.name: m.form.evaluate(v) for m in self.members}
-
-
 def _dual_member(member: BatteryMember, source: str = "") -> BatteryMember:
     """The index reversal of a battery member, named after it."""
     return BatteryMember(member.name + "-dual", dual_form(member.form),
                          source or f"index reversal of {member.name}")
 
 
-def battery(d: int) -> InequalityBattery:
+def battery(d: int) -> tuple[BatteryMember, ...]:
     """The linear inequalities asserted at d = 5, 6, 7, each bound with its
     index reversal: every vertex meets at least d edges (2f_1 >= d f_0); at
     d = 5, Kalai's sum of nonnegative g1 convolutions; at d = 6, 7, the
@@ -242,10 +225,9 @@ def battery(d: int) -> InequalityBattery:
                                c2dc - FlagForm(d, {(): least}),
                                "nonnegativity of the cd-index coefficient"
                                f" <c^2dc^{d - 4} - {least}c^{d}>")
-    return InequalityBattery(d, [
-        edge, second,
-        _dual_member(edge, f"dual form: every facet has at least {d} ridges"),
-        _dual_member(second)])
+    return (edge, second,
+            _dual_member(edge, f"dual form: every facet has at least {d} ridges"),
+            _dual_member(second))
 
 
 class CandidateReport(Record):
@@ -275,7 +257,7 @@ def check_candidate(v) -> CandidateReport:
     bat = battery(v.d)
     if not v.complete:
         v = complete_from_sparse(dict(v.entries), v.d)
-    values = bat.evaluate_all(v)
+    values = {m.name: m.form.evaluate(v) for m in bat}
     f = v.f_vector()
     return CandidateReport(
         d=v.d,

@@ -435,9 +435,8 @@ def test_the_public_names_change_only_by_a_reviewed_diff():
     assert names == [
         "AbPolynomial", "CdPolynomial", "DegreeMismatch", "DeskScaleExceeded",
         "DimensionMismatch", "FVector", "FaceLattice", "FaceNotInLattice", "FlagForm",
-        "FlagVecError", "FlagVector", "IncompleteBasis", "InequalityBattery",
-        "InvalidParams", "MissingEntry", "NotEulerian", "PropertyReport",
-        "UnsupportedDimension", "VerificationReport", "ab_index",
+        "FlagVecError", "FlagVector", "IncompleteBasis", "InvalidParams",
+        "MissingEntry", "NotEulerian", "PropertyReport", "UnsupportedDimension", "VerificationReport", "ab_index",
         "ab_to_cd", "battery", "build_crosspolytope", "build_cube", "build_cyclic",
         "build_polygon", "build_simplex", "candidate_6d", "candidate_7d",
         "cd_coefficient", "cd_index", "cd_word_to_flag_form", "cd_words",

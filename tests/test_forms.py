@@ -160,8 +160,8 @@ def test_battery_nonnegative_on_corpus(small_corpus):
     for L in small_corpus + extra:
         if L.d not in (5, 6, 7):
             continue
-        bat = battery(L.d)
-        values = bat.evaluate_all(L.flag_vector())
+        v = L.flag_vector()
+        values = {m.name: m.form.evaluate(v) for m in battery(L.d)}
         assert all(v >= 0 for v in values.values()), (L, values)
 
 
@@ -292,7 +292,7 @@ def _sample_by_completing_first(rng, count):
         v = complete_from_sparse(values, 5)
         if any(v.get((i,)) <= 0 for i in range(5)):
             continue
-        if any(val < 0 for val in bat.evaluate_all(v).values()):
+        if any(m.form.evaluate(v) < 0 for m in bat):
             continue
         out.append(v)
     return out
