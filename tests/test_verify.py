@@ -1,5 +1,6 @@
 """The verification report checks the objects the library ships: the
-battery's own forms, and the lattices of one corpus."""
+battery's own forms, and the lattices of one corpus; no vector it computes
+contradicts a row of its summary table."""
 
 from flagvec import families, forms, lattice
 from flagvec.verify import (WITNESS_8, WITNESSES_6_7, TableCell, corpus,
@@ -55,7 +56,8 @@ def _contradicted_rows(table, vectors) -> list[str]:
     top = max(d for d, _ in reports)
     bad = []
     for cell in table:
-        refuted = {d for d, rep in reports if not getattr(rep, cell.prop.replace("-", "_"))}
+        prop = cell.prop.replace("-", "_")
+        refuted = {d for d, rep in reports if not getattr(rep, prop)}
         dims = set(_dims(cell.dims, top))
         if cell.status in ("holds", "open"):
             wrong = bool(dims & refuted)
@@ -71,7 +73,7 @@ def test_no_computed_vector_contradicts_a_summary_row():
     vectors = [tuple(L.f_vector()) for _, L in corpus() if L.d >= 1]
     vectors += [WITNESS_8] + [f for _, _, _, f in WITNESSES_6_7]
     table = run_verification().table
-    assert len(table) == 18
+    assert table
     assert _contradicted_rows(table, vectors) == []
     # the row the table printed before the d = 6, 7 witnesses is flagged
     stale = TableCell("log-convex", "5..7", "open", "no counterexample known")
