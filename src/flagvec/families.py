@@ -22,6 +22,9 @@ def cyclic_f(d: int, n: int) -> FVector:
     """f-vector of the cyclic d-polytope on n vertices, from the Upper Bound
     Theorem: its h-vector is h_i = C(n-d-1+i, i) for i <= d/2, then
     symmetric, and f_(j-1) = sum over i of C(d-i, j-i) h_i."""
+    for name, value in (("dimension", d), ("vertex count", n)):
+        if type(value) is not int:  # a bool or 8.0 too
+            raise InvalidParams(f"{name} must be an int, got {value!r}")
     if d < 2:
         raise InvalidParams(f"dimension must be >= 2, got {d}")
     if n <= d:

@@ -63,7 +63,7 @@ class FlagForm:
         return FlagForm(self.d, {S: -c for S, c in self.coeffs.items()})
 
     def __mul__(self, scalar) -> "FlagForm":
-        scalar = Fraction(scalar)
+        scalar = rat_exact(scalar, "scalar")
         return FlagForm(self.d, {S: c * scalar for S, c in self.coeffs.items()})
 
     __rmul__ = __mul__

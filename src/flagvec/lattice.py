@@ -576,6 +576,8 @@ def _members(first: int, bits: int) -> list[int]:
 
 
 def _check_dim(d: int, low: int):
+    if type(d) is not int:  # a bool or 2.0 too
+        raise InvalidParams(f"dimension must be an int, got {d!r}")
     if d < low:
         raise InvalidParams(f"dimension must be >= {low}, got {d}")
     if d > MAX_DIMENSION:
@@ -584,24 +586,27 @@ def _check_dim(d: int, low: int):
 
 
 def _simplicial_lattice(d: int, n: int, facets) -> FaceLattice:
-    """Close a set of facets (vertex tuples) under taking subsets, rank by
-    rank: the faces of a rank are the sorted tuples that drop one vertex from
-    a face of the rank above, so each face is made once per face over it."""
+    """The lattice of a simplicial d-polytope on vertices 0..n-1, closed from
+    its facets rank by rank: the faces of a rank are the r-subsets of the
+    faces of the rank above, each kept once in the order first made, so each
+    rank is nearly sorted.  A facet whose labels do not ascend, and the faces
+    made from it, are sorted by the constructor."""
     def faces():
         yield from ((-1, ()), (d, tuple(range(n))))
-        rank = {tuple(sorted(facet)) for facet in facets}
+        rank = dict.fromkeys(facets)
         for r in range(d - 1, -1, -1):
             yield from ((r, f) for f in rank)
-            rank = {f[:i] + f[i + 1:] for f in rank for i in range(r + 1)}
+            rank = dict.fromkeys(itertools.chain.from_iterable(
+                itertools.combinations(f, r) for f in rank))
     return FaceLattice(d, faces())
 
 
 def build_simplex(d: int) -> FaceLattice:
-    """Face lattice of the d-simplex: all subsets of d+1 vertices."""
+    """Face lattice of the d-simplex, closed from its facets: the d-subsets
+    of its d+1 vertices."""
     _check_dim(d, 0)
     _check_face_budget(1 << (d + 1))
-    return FaceLattice(d, ((size - 1, sub) for size in range(d + 2)
-                           for sub in itertools.combinations(range(d + 1), size)))
+    return _simplicial_lattice(d, d + 1, itertools.combinations(range(d + 1), d))
 
 
 def _gale_facets(d: int, n: int):
@@ -671,25 +676,21 @@ def _submasks(mask: int):
 def build_crosspolytope(d: int) -> FaceLattice:
     """Face lattice of the d-cross-polytope (dual of the cube).
 
-    Vertices 2i and 2i+1 are the antipodal pair on axis i; proper faces are
-    exactly the vertex sets avoiding every antipodal pair.
+    Vertices 2i and 2i+1 are the antipodal pair on axis i.  The lattice is
+    closed from its facets, which take one vertex of each pair.
     """
     _check_dim(d, 1)
     _check_face_budget(3 ** d + 1)
-    faces: list[tuple[int, tuple[int, ...]]] = [(-1, ()), (d, tuple(range(2 * d)))]
-    for axes in index_sets(d)[1:]:
-        for signs in itertools.product((0, 1), repeat=len(axes)):
-            faces.append((len(axes) - 1, tuple(2 * a + s for a, s in zip(axes, signs))))
-    return FaceLattice(d, faces)
+    return _simplicial_lattice(d, 2 * d, itertools.product(
+        *((2 * i, 2 * i + 1) for i in range(d))))
 
 
 def build_polygon(n: int) -> FaceLattice:
-    """Face lattice of the n-gon."""
+    """Face lattice of the n-gon, closed from its facets: the n edges
+    (i, i+1 mod n)."""
+    if type(n) is not int:  # a bool or 4.0 too
+        raise InvalidParams(f"vertex count must be an int, got {n!r}")
     if n < 3:
         raise InvalidParams(f"polygon needs at least 3 vertices, got {n}")
     _check_face_budget(2 * n + 2)
-    faces: list[tuple[int, tuple[int, ...]]] = [(-1, ()), (2, tuple(range(n)))]
-    for i in range(n):
-        faces.append((0, (i,)))
-        faces.append((1, (i, (i + 1) % n)))
-    return FaceLattice(2, faces)
+    return _simplicial_lattice(2, n, ((i, (i + 1) % n) for i in range(n)))

@@ -311,6 +311,18 @@ def test_python_values_must_be_exact(make, value):
         make(value)
 
 
+def test_a_form_scalar_must_be_exact():
+    form = FlagForm(3, {(0,): 1, (): Fraction(1, 2)})
+    for scalar in (0.1, True, "1/3"):
+        with pytest.raises(InvalidParams, match=r"entry 'scalar': .* not an exact number"):
+            form * scalar
+        with pytest.raises(InvalidParams, match=r"entry 'scalar': .* not an exact number"):
+            scalar * form
+    assert form * 2 == 2 * form == FlagForm(3, {(0,): 2, (): 1})
+    assert form * Fraction(2, 3) == Fraction(2, 3) * form == FlagForm(
+        3, {(0,): Fraction(2, 3), (): Fraction(1, 3)})
+
+
 def test_python_ints_and_fractions_are_accepted():
     assert FlagVector(3, {(0,): Fraction(8, 2)}).get((0,)) == 4
     assert FlagForm(3, {(0,): 2, (1,): Fraction(1, 2)}).coeffs == {

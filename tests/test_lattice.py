@@ -215,11 +215,59 @@ def test_simplex_f_vectors():
     assert tuple(build_simplex(6).f_vector()) == (7, 21, 35, 35, 21, 7)
 
 
+def _simplex_oracle(d):
+    """Test oracle: the d-simplex as every subset of its d+1 vertices."""
+    return FaceLattice(d, [(size - 1, sub) for size in range(d + 2)
+                           for sub in itertools.combinations(range(d + 1), size)])
+
+
+def _crosspolytope_oracle(d):
+    """Test oracle: the d-cross-polytope, whose proper faces are the vertex
+    sets avoiding every antipodal pair {2i, 2i+1}."""
+    return FaceLattice(d, [(-1, ()), (d, range(2 * d)), *(
+        (size - 1, sub) for size in range(1, d + 1)
+        for sub in itertools.combinations(range(2 * d), size)
+        if len({v // 2 for v in sub}) == size)])
+
+
+def _polygon_oracle(n):
+    """Test oracle: the n-gon as its vertices and its cyclic edges."""
+    return FaceLattice(2, [(-1, ()), (2, range(n)), *((0, (i,)) for i in range(n)),
+                           *((1, (i, (i + 1) % n)) for i in range(n))])
+
+
 def test_simplex_is_all_subsets():
-    L = build_simplex(4)
-    assert L.face_count() == 2 ** 5
-    for r in range(-1, 5):
-        assert len(L.faces(r)) == comb(5, r + 1)
+    for d in range(9):
+        L = build_simplex(d)
+        assert L.face_count() == 2 ** (d + 1)
+        for r in range(-1, d + 1):
+            assert len(L.faces(r)) == comb(d + 1, r + 1)
+        oracle = _simplex_oracle(d)
+        assert L == oracle and L.to_json() == oracle.to_json(), d
+
+
+def test_crosspolytope_faces_avoid_every_antipodal_pair():
+    for d in range(1, 9):
+        L, oracle = build_crosspolytope(d), _crosspolytope_oracle(d)
+        assert L == oracle and L.to_json() == oracle.to_json(), d
+
+
+def test_polygon_is_its_vertices_and_cyclic_edges():
+    for n in range(3, 61):
+        L, oracle = build_polygon(n), _polygon_oracle(n)
+        assert L == oracle and L.to_json() == oracle.to_json(), n
+
+
+@pytest.mark.parametrize("build, args, value", [
+    (build_simplex, (True,), "True"), (build_cube, (True,), "True"),
+    (build_crosspolytope, (True,), "True"), (build_simplex, (2.0,), "2.0"),
+    (build_cube, (3.0,), "3.0"), (build_crosspolytope, (3.0,), "3.0"),
+    (build_polygon, (4.0,), "4.0"), (build_cyclic, (5, 8.0), "8.0"),
+    (build_cyclic, (5.0, 8), "5.0"), (cyclic_f, (5, 8.0), "8.0"),
+    (cyclic_f, (True, 8), "True")])
+def test_a_dimension_or_vertex_count_must_be_an_int(build, args, value):
+    with pytest.raises(InvalidParams, match=f"must be an int, got {re.escape(value)}$"):
+        build(*args)
 
 
 def test_cyclic_f_vectors():
