@@ -28,7 +28,7 @@ from functools import lru_cache
 from .errors import DegreeMismatch, InvalidParams, MissingEntry, NotEulerian
 from .flagalg import FlagVector, index_sets, reduce_index, sparse_basis
 from .forms import FlagForm
-from .rational import count_from_str, normalize, rat_to_str, shown
+from .rational import count_exact, count_from_str, normalize, rat_to_str, shown
 
 
 _DEGREE = {"c": 1, "d": 2}  # the degree each letter of a cd-word counts
@@ -45,14 +45,13 @@ def _rev_key(word: str) -> tuple[int, ...]:
     return tuple(1 if ch == "d" else 0 for ch in reversed(word))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True must not find 1's entry
 def cd_words(degree: int) -> tuple[str, ...]:
     """All cd-words of a degree, reverse-lexicographic with c < d.
 
     There are Fibonacci-many, matching the sparse basis size.
     """
-    if degree < 0:
-        raise InvalidParams(f"degree must be >= 0, got {degree}")
+    count_exact(degree, "degree")
     # grow degree one at a time: append a c, or upgrade a trailing c to a d
     words = [""]
     for _ in range(degree):
@@ -71,7 +70,7 @@ class AbPolynomial:
     __slots__ = ("degree", "terms")
 
     def __init__(self, degree: int, terms: dict):
-        self.degree = degree
+        self.degree = count_exact(degree, "degree")
         clean = {}
         for word, coeff in terms.items():
             if type(word) is not str or len(word) != degree or word.strip("ab"):
@@ -98,7 +97,7 @@ class CdPolynomial:
     __slots__ = ("degree", "terms")
 
     def __init__(self, degree: int, terms: dict):
-        self.degree = degree
+        self.degree = count_exact(degree, "degree")
         clean = {}
         for word, coeff in terms.items():
             _check_degree(word, cd_degree(word), degree)
@@ -268,7 +267,7 @@ def _symbolic_cd_index(d: int) -> dict[str, FlagForm]:
 def cd_word_to_flag_form(word: str, d: int) -> FlagForm:
     """The flag form whose value on every Eulerian flag vector equals the
     cd-coefficient of the word; returned reduced to the sparse basis."""
-    _check_degree(word, cd_degree(word), d)
+    _check_degree(word, cd_degree(word), count_exact(d, "dimension"))
     return _symbolic_cd_index(d)[word]
 
 

@@ -15,6 +15,7 @@ from math import comb
 
 from .errors import DimensionMismatch, InvalidParams
 from .flagalg import FVector
+from .rational import count_exact
 from .records import Record
 
 
@@ -22,12 +23,8 @@ def cyclic_f(d: int, n: int) -> FVector:
     """f-vector of the cyclic d-polytope on n vertices, from the Upper Bound
     Theorem: its h-vector is h_i = C(n-d-1+i, i) for i <= d/2, then
     symmetric, and f_(j-1) = sum over i of C(d-i, j-i) h_i."""
-    for name, value in (("dimension", d), ("vertex count", n)):
-        if type(value) is not int:  # a bool or 8.0 too
-            raise InvalidParams(f"{name} must be an int, got {value!r}")
-    if d < 2:
-        raise InvalidParams(f"dimension must be >= 2, got {d}")
-    if n <= d:
+    count_exact(d, "dimension", 2)
+    if count_exact(n, "vertex count") <= d:
         raise InvalidParams(f"cyclic polytope needs n >= d+1, got n={n}, d={d}")
     h = [comb(n - d - 1 + min(i, d - i), min(i, d - i)) for i in range(d + 1)]
     return FVector(tuple(sum(comb(d - i, j - i) * h[i] for i in range(j + 1))
@@ -138,8 +135,7 @@ def neighborly_gap(f0: int) -> int:
     """f_0 + f_2 - 2 f_1 for a 2-neighbourly polytope with f0 vertices:
     f0 (f0-2) (f0-7) / 6, positive as soon as f0 >= 8.  One factor is even
     and one is divisible by 3, so the division is exact."""
-    if f0 < 1:
-        raise InvalidParams(f"need at least one vertex, got {f0}")
+    count_exact(f0, "vertex count", 1)
     return f0 * (f0 - 2) * (f0 - 7) // 6
 
 
@@ -147,6 +143,8 @@ def logconv_scan(d: int, n_min: int, n_max: int) -> list[tuple[int, tuple]]:
     """(n, ratios) per n for the connected sums ``cyclic_sum_f(d, n)``.  The
     ratios are f_k^2 / (f_(k-1) f_(k+1)) for k = 1..(d-1)//2, exactly: the
     distinct log-convexity ratios of a palindromic vector."""
+    count_exact(d, "dimension", 2)
+    n_min, n_max = count_exact(n_min, "n_min"), count_exact(n_max, "n_max")
     if not d + 1 <= n_min <= n_max:
         raise InvalidParams(
             f"need {d + 1} <= n_min <= n_max, got {n_min}..{n_max}")
@@ -161,8 +159,7 @@ def logconv_scan(d: int, n_min: int, n_max: int) -> list[tuple[int, tuple]]:
 def candidate_6d(ell: int) -> dict[tuple[int, ...], int]:
     """Sparse flag data of the 6-dimensional candidate family; every member
     satisfies the full battery while f_1 always exceeds f_2."""
-    if ell < 0:
-        raise InvalidParams(f"family parameter must be >= 0, got {ell}")
+    count_exact(ell, "family parameter")
     return {
         (): 1,
         (0,): 22 + ell,

@@ -21,6 +21,7 @@ from functools import lru_cache
 
 from .errors import IncompleteBasis, InvalidParams, MissingEntry
 from .rational import (
+    count_exact,
     count_from_str,
     is_json_int,
     load_json,
@@ -57,7 +58,10 @@ class FVector:
     def __eq__(self, other):
         if isinstance(other, FVector):
             return self.components == other.components
-        return self.components == tuple(other)
+        try:
+            return self.components == tuple(other)
+        except TypeError:  # not iterable
+            return NotImplemented
 
     def __hash__(self):
         return hash(self.components)
@@ -160,9 +164,7 @@ class FlagVector:
     __slots__ = ("d", "entries")
 
     def __init__(self, d: int, entries: dict):
-        if d < 0:
-            raise InvalidParams(f"dimension must be >= 0, got {d}")
-        self.d = d
+        self.d = count_exact(d, "dimension")
         canonical = _canonical(d) if len(entries) >> d else {}
         norm: dict[tuple[int, ...], object] = {}
         for S, value in entries.items():
@@ -214,15 +216,14 @@ class FlagVector:
 # sparse basis
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True must not find 1's entry
 def sparse_basis(d: int) -> tuple[tuple[int, ...], ...]:
     """Index sets inside {0,...,d-2} with no two consecutive elements.
 
     There are Fibonacci-many of them (2, 3, 5, 8, 13, 21 for d = 2..7) and
     flag-vector entries on these sets determine everything else.
     """
-    if d < 0:
-        raise InvalidParams(f"dimension must be >= 0, got {d}")
+    count_exact(d, "dimension")
 
     def spaced(start, k):
         # the k-subsets of start..d-2 with no two consecutive, lexicographically
@@ -247,6 +248,7 @@ def _min_offender(S: tuple[int, ...], d: int):
 
 def gds_pairs(d: int) -> tuple:
     """All (S, (i, k)) relation labels for dimension d, in a fixed order."""
+    count_exact(d, "dimension")
     pairs = []
     for S in index_sets(d):
         bounds = (-1,) + S + (d,)
@@ -260,7 +262,7 @@ def gds_relation(S, gap: tuple[int, int], d: int) -> dict[tuple[int, ...], int]:
     ``gap`` must be two consecutive elements of (-1,) + S + (d,) at least 2
     apart, as ``gds_pairs`` gives them; anything else raises InvalidParams.
     """
-    S = index_set(S, d)
+    S = index_set(S, count_exact(d, "dimension"))
     bounds = (-1,) + S + (d,)
     i, k = gap
     if (i, k) not in zip(bounds, bounds[1:]) or k - i < 2:
@@ -319,7 +321,7 @@ def _reduce(S: tuple[int, ...], d: int) -> tuple[tuple[tuple[int, ...], int], ..
 def reduce_index(S, d: int) -> dict[tuple[int, ...], int]:
     """Express f_S over the sparse basis, valid on every relation-satisfying
     flag vector.  Idempotent on sparse sets."""
-    return dict(_reduce(index_set(S, d), d))
+    return dict(_reduce(index_set(S, count_exact(d, "dimension")), d))
 
 
 def complete_from_sparse(values: dict, d: int) -> FlagVector:

@@ -24,7 +24,7 @@ from .flagalg import (
     write_flag_json,
 )
 from .families import PropertyReport, cyclic_f, properties, simplicial_flag_number
-from .rational import normalize, rat_exact
+from .rational import count_exact, normalize, rat_exact
 from .records import Record
 
 
@@ -34,9 +34,7 @@ class FlagForm:
     __slots__ = ("d", "coeffs")
 
     def __init__(self, d: int, coeffs: dict):
-        if d < 0:
-            raise InvalidParams(f"dimension must be >= 0, got {d}")
-        self.d = d
+        self.d = count_exact(d, "dimension")
         norm: dict[tuple[int, ...], Fraction] = {}
         for S, c in coeffs.items():
             S = index_set(S, d)
@@ -206,7 +204,7 @@ def battery(d: int) -> tuple[BatteryMember, ...]:
     cd-index coefficient of c^2dc^(d-4) is at least the d-simplex's
     (f_0 - f_1 + f_2 - 2 minus its value on the simplex, whose f_i is
     C(d+1, i+1))."""
-    if d not in (5, 6, 7):
+    if count_exact(d, "dimension") not in (5, 6, 7):
         raise UnsupportedDimension(f"no inequality battery for d={d}")
     g = gcd(2, d)
     edge = BatteryMember("edge-vertex-bound",
@@ -283,6 +281,7 @@ def sample_feasible_5d(rng, count: int) -> list[FlagVector]:
     vectors with positive face counts that pass the whole battery.  A draw
     is screened before it is completed: each f_i - 1 (f_i is an int) and each
     battery form, reduced once per call, must be >= 0 on the sparse values."""
+    count_exact(count, "sample count")
     boxes = feasible_sample_boxes()
     screens = [FlagForm(5, {(i,): 1, (): -1}) for i in range(5)]
     screens += [m.form for m in battery(5)]

@@ -7,7 +7,9 @@ one rule, stated here: a count is 1 to MAX_DIGITS ASCII decimal digits
 leading "-", optionally followed by "/" and a nonzero count
 (``rat_from_str``), which is what ``rat_to_str`` writes.  Signs other than
 a leading "-", "_", spaces and non-ASCII digits, all of which int() takes,
-are refused with a message that names the text.
+are refused with a message that names the text.  Every count passed from
+Python, such as a dimension, is checked by one rule too: an int, not a bool,
+of at least a stated bound (``count_exact``).
 """
 
 import json
@@ -139,6 +141,16 @@ def rat_exact(value, key):
     raise InvalidParams(
         f"entry {key!r}: {value!r} is not an exact number;"
         " give an int or a Fraction")
+
+
+def count_exact(value, name: str, low: int = 0) -> int:
+    """A count passed from Python: an int (not a bool, not 2.0) of at least
+    ``low``; anything else raises InvalidParams naming what it counts."""
+    if type(value) is not int:
+        raise InvalidParams(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise InvalidParams(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def approx_str(x) -> str:

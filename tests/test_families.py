@@ -270,6 +270,13 @@ def test_fvector_helpers():
     assert type(FVector((Fraction(8), 28))[0]) is int
 
 
+def test_fvector_equals_what_is_not_iterable_as_false():
+    f = FVector((1, 2))
+    assert (f == None) is False and f != None  # noqa: E711
+    assert None not in [f] and f in [None, f]
+    assert f == (1, 2) and f == [1, 2]
+
+
 @pytest.mark.parametrize("components, index", [
     ((8.7, 28, 52, 50, 20), 0),
     ((8, 28.0, 52), 1),

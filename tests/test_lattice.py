@@ -11,16 +11,32 @@ from math import comb
 import pytest
 
 from flagvec import (
+    AbPolynomial,
+    CdPolynomial,
     DeskScaleExceeded,
     FaceLattice,
     FaceNotInLattice,
+    FlagForm,
     InvalidParams,
+    battery,
     build_crosspolytope,
     build_cube,
     build_cyclic,
     build_polygon,
     build_simplex,
+    candidate_6d,
+    cd_word_to_flag_form,
+    cd_words,
+    complete_from_sparse,
     cyclic_f,
+    g_forms,
+    gds_pairs,
+    gds_relation,
+    logconv_scan,
+    neighborly_gap,
+    reduce_index,
+    sample_feasible_5d,
+    sparse_basis,
     toric_g,
     toric_h,
 )
@@ -264,7 +280,20 @@ def test_polygon_is_its_vertices_and_cyclic_edges():
     (build_cube, (3.0,), "3.0"), (build_crosspolytope, (3.0,), "3.0"),
     (build_polygon, (4.0,), "4.0"), (build_cyclic, (5, 8.0), "8.0"),
     (build_cyclic, (5.0, 8), "5.0"), (cyclic_f, (5, 8.0), "8.0"),
-    (cyclic_f, (True, 8), "True")])
+    (cyclic_f, (True, 8), "True"), (FlagVector, (True, {}), "True"),
+    (FlagVector, (2.0, {}), "2.0"), (FlagForm, (True, {}), "True"),
+    (g_forms, (True,), "True"),
+    # the int call fills the cache first, which must not answer for True
+    (lambda d: (sparse_basis(1), sparse_basis(d)), (True,), "True"),
+    (lambda d: (cd_words(1), cd_words(d)), (True,), "True"),
+    (battery, (5.0,), "5.0"), (candidate_6d, (1.5,), "1.5"),
+    (neighborly_gap, (8.0,), "8.0"), (reduce_index, ((0, 1), 3.0), "3.0"),
+    (gds_pairs, (2.0,), "2.0"), (cd_word_to_flag_form, ("cc", 2.0), "2.0"),
+    (logconv_scan, (7, 8.0, 9), "8.0"), (logconv_scan, ("7", 8, 9), "'7'"),
+    (complete_from_sparse, ({}, 2.0), "2.0"),
+    (gds_relation, ((), (-1, 2), 2.0), "2.0"), (AbPolynomial, (2.0, {}), "2.0"),
+    (CdPolynomial, (True, {}), "True"),
+    (sample_feasible_5d, (random.Random(1), 2.5), "2.5")])
 def test_a_dimension_or_vertex_count_must_be_an_int(build, args, value):
     with pytest.raises(InvalidParams, match=f"must be an int, got {re.escape(value)}$"):
         build(*args)
