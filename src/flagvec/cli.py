@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import partial
 
 from . import __version__
 from . import cdindex as cdx
@@ -25,14 +24,15 @@ from .rational import (approx_str, count_from_str, is_json_int, load_json,
 
 # Each family's builder and the options it takes, in argument order.  Every
 # builder gives a face lattice except p7n's, the connected sum of a cyclic
-# 7-polytope and its dual, which gives an f-vector.
+# 7-polytope and its dual, which gives an f-vector.  A builder reads its
+# module when called, so that importing the CLI runs none of them.
 FAMILIES = {
-    "simplex": (lattice.build_simplex, ("d",)),
-    "cube": (lattice.build_cube, ("d",)),
-    "crosspolytope": (lattice.build_crosspolytope, ("d",)),
-    "cyclic": (lattice.build_cyclic, ("d", "n")),
-    "polygon": (lattice.build_polygon, ("n",)),
-    "p7n": (partial(families.cyclic_sum_f, 7), ("n",)),
+    "simplex": (lambda d: lattice.build_simplex(d), ("d",)),
+    "cube": (lambda d: lattice.build_cube(d), ("d",)),
+    "crosspolytope": (lambda d: lattice.build_crosspolytope(d), ("d",)),
+    "cyclic": (lambda d, n: lattice.build_cyclic(d, n), ("d", "n")),
+    "polygon": (lambda n: lattice.build_polygon(n), ("n",)),
+    "p7n": (lambda n: families.cyclic_sum_f(7, n), ("n",)),
 }
 LATTICE_FAMILIES = [name for name in FAMILIES if name != "p7n"]
 MAX_SCAN_VALUES = 10**5
@@ -75,8 +75,7 @@ def _need(cond: bool, message: str):
 
 def cmd_generate(args) -> int:
     built = _build_family(args)
-    f = [str(c) for c in (built.f_vector() if isinstance(built, lattice.FaceLattice)
-                          else built)]
+    f = [str(c) for c in (built if args.family == "p7n" else built.f_vector())]
     _emit(args, {"d": built.d, "f": f}, [f"f{i}" for i in range(built.d)], [f])
     return 0
 
@@ -143,7 +142,7 @@ def cmd_cdindex(args) -> int:
     return 0
 
 
-def _parse_form(text: str) -> forms.FlagForm:
+def _parse_form(text: str) -> "forms.FlagForm":
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as fh:
             return forms.FlagForm.from_json(fh.read())

@@ -169,9 +169,9 @@ class FaceLattice:
     def faces(self, rank: int) -> tuple[tuple[int, ...], ...]:
         """The faces of a rank, each its sorted tuple of vertex labels, in
         ascending tuple order."""
-        if not -1 <= rank <= self.d:
+        if type(rank) is int and not -1 <= rank <= self.d:
             raise InvalidParams(f"rank {rank} outside -1..{self.d}")
-        return self._ranks[rank + 1]
+        return self._ranks[count_exact(rank, "rank", -1) + 1]
 
     def all_faces(self):
         """Every (rank, face) pair, by rank and then as in ``faces``."""

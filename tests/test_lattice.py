@@ -650,6 +650,18 @@ def test_quotient_rank_arithmetic():
         assert L.quotient(face).d == L.d - 1 - r
 
 
+@pytest.mark.parametrize("rank, message", [
+    (-5, "rank -5 outside -1..3"), (4, "rank 4 outside -1..3"),
+    # True used to give the edges, 1.0 and "1" a bare TypeError
+    (True, "rank must be an int, got True"), (1.0, "rank must be an int, got 1.0"),
+    ("1", "rank must be an int, got '1'"), (None, "rank must be an int, got None")])
+def test_faces_refuses_a_rank_that_is_not_an_int_in_range(rank, message):
+    cube = build_cube(3)
+    with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+        cube.faces(rank)
+    assert [len(cube.faces(r)) for r in range(-1, 4)] == [1, 8, 12, 6, 1]
+
+
 def test_quotient_rejects_foreign_faces():
     cube = build_cube(2)
     with pytest.raises(FaceNotInLattice):
